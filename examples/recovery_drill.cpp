@@ -2,27 +2,34 @@
 // gauntlet (DESIGN.md §17.5; tests/recovery_test.cc is the in-process
 // twin). Two modes over the same database path:
 //
-//   recovery_drill crash <db> <n_ops>
-//       Opens <db>, stores drill(I, 2I) facts one at a time, appending
-//       each index to <db>.ack — written and fsynced only AFTER the
-//       store returned, so an acked line is a durability claim. A
-//       checkpoint fires at the halfway mark. Run it under
-//       EDUCE_FAULT_POINT="<site>:kill:<n>" and the process dies
-//       mid-I/O at the chosen point (exit 137); without a fault armed
-//       it completes and exits 0.
+//   recovery_drill crash <db> <n_ops> [batch]
+//       Opens <db> and stores n_ops drill(I, 2I, tagI) facts, `batch`
+//       (default 1) per StoreFactsExternal call, appending each index of
+//       a call to <db>.ack — written and fsynced only AFTER the call
+//       returned, so an acked line is a durability claim. Each run
+//       stores its own index range (run r stores r*n_ops ..
+//       r*n_ops + n_ops - 1) and opens it with a "#run <first> <n_ops>
+//       <batch>" line. A checkpoint fires before the call holding the
+//       run's middle fact. Run it under EDUCE_FAULT_POINT=
+//       "<site>:kill:<n>" and the process dies mid-I/O at the chosen
+//       point (exit 137); without a fault armed it completes and exits 0.
 //
 //   recovery_drill verify <db>
 //       Reopens <db> (recovery runs in the constructor), then checks
-//       the contract: every acked fact is present with the right
-//       binding, and at most one unacked in-flight fact landed beyond
-//       them. Exits 0 on success, 1 on any lost ack or torn state.
+//       the contract: every recovered row is intact and unique, every
+//       acked fact is present, and each run's rows are a prefix of what
+//       it stored that runs at most one batch past its acks — the
+//       in-flight call's rows, logged but not acked when the process
+//       died. Exits 0 on success, 1 on any lost ack or torn state.
 //
 // The CI gauntlet loops: crash (killed at site S, op N) -> verify ->
 // next (S, N). A verify failure is a durability bug, never flake.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -43,7 +50,47 @@ std::string Fact(long i) {
          ", tag" + std::to_string(i) + ").";
 }
 
-int RunCrash(const std::string& db, long n_ops) {
+/// One crash invocation as recorded in the ack file.
+struct Run {
+  long first = 0;  // index of the run's first fact
+  long n_ops = 0;
+  long batch = 1;
+  std::vector<long> acked;  // in ack order
+};
+
+std::vector<Run> ReadRuns(const std::string& db) {
+  std::vector<Run> runs;
+  FILE* f = std::fopen(AckPath(db).c_str(), "r");
+  if (f == nullptr) return runs;  // died before the first marker: fine
+  char buf[96];
+  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
+    // A kill mid-ack can tear the final line; only full lines count
+    // (a torn ack was never a completed durability claim).
+    if (std::strchr(buf, '\n') == nullptr) continue;
+    if (buf[0] == '#') {
+      Run run;
+      if (std::sscanf(buf, "#run %ld %ld %ld", &run.first, &run.n_ops,
+                      &run.batch) == 3) {
+        runs.push_back(run);
+      }
+    } else if (!runs.empty()) {
+      runs.back().acked.push_back(std::atol(buf));
+    }
+  }
+  std::fclose(f);
+  return runs;
+}
+
+bool WriteAndSync(int fd, const std::string& bytes) {
+  return ::write(fd, bytes.data(), bytes.size()) ==
+             static_cast<ssize_t>(bytes.size()) &&
+         ::fsync(fd) == 0;
+}
+
+int RunCrash(const std::string& db, long n_ops, long batch) {
+  // Runs store disjoint index ranges, so verify can tell which run (and
+  // which of its calls) a recovered row came from.
+  const long first = static_cast<long>(ReadRuns(db).size()) * n_ops;
   educe::EngineOptions options;
   options.db_path = db;
   educe::Engine engine(options);
@@ -60,14 +107,15 @@ int RunCrash(const std::string& db, long n_ops) {
     std::fprintf(stderr, "crash: cannot open ack file\n");
     return 1;
   }
-  // One marker per crash run: each run can leave at most one unacked
-  // in-flight fact behind, so verify's surplus budget is the run count.
-  if (::write(ack_fd, "#run\n", 5) != 5 || ::fsync(ack_fd) != 0) {
+  if (!WriteAndSync(ack_fd, "#run " + std::to_string(first) + " " +
+                                std::to_string(n_ops) + " " +
+                                std::to_string(batch) + "\n")) {
     std::fprintf(stderr, "crash: ack marker write failed\n");
     return 1;
   }
-  for (long i = 0; i < n_ops; ++i) {
-    if (i == n_ops / 2) {
+  for (long start = 0; start < n_ops; start += batch) {
+    const long end = std::min(start + batch, n_ops);
+    if (start <= n_ops / 2 && n_ops / 2 < end) {
       // Mid-run checkpoint: puts the image-save and WAL-reset paths in
       // the fault's blast radius, with live state on both sides of it.
       const educe::base::Status ck = engine.Checkpoint();
@@ -77,17 +125,20 @@ int RunCrash(const std::string& db, long n_ops) {
         return 1;
       }
     }
-    const educe::base::Status stored = engine.StoreFactsExternal(Fact(i));
+    std::string facts;
+    std::string acks;
+    for (long i = first + start; i < first + end; ++i) {
+      facts += Fact(i) + "\n";
+      acks += std::to_string(i) + "\n";
+    }
+    const educe::base::Status stored = engine.StoreFactsExternal(facts);
     if (!stored.ok()) {
-      std::fprintf(stderr, "crash: store %ld failed: %s\n", i,
-                   stored.ToString().c_str());
+      std::fprintf(stderr, "crash: store %ld..%ld failed: %s\n",
+                   first + start, first + end - 1, stored.ToString().c_str());
       return 1;
     }
-    const std::string line = std::to_string(i) + "\n";
-    if (::write(ack_fd, line.data(), line.size()) !=
-            static_cast<ssize_t>(line.size()) ||
-        ::fsync(ack_fd) != 0) {
-      std::fprintf(stderr, "crash: ack write failed at %ld\n", i);
+    if (!WriteAndSync(ack_fd, acks)) {
+      std::fprintf(stderr, "crash: ack write failed at %ld\n", first + start);
       return 1;
     }
   }
@@ -98,37 +149,13 @@ int RunCrash(const std::string& db, long n_ops) {
                  closed.ToString().c_str());
     return 1;
   }
-  std::printf("crash: completed %ld ops without dying\n", n_ops);
+  std::printf("crash: completed %ld ops in batches of %ld without dying\n",
+              n_ops, batch);
   return 0;
 }
 
-struct AckFile {
-  std::vector<long> acked;
-  long runs = 0;  // crash invocations: each may leave one in-flight fact
-};
-
-AckFile ReadAcks(const std::string& db) {
-  AckFile out;
-  FILE* f = std::fopen(AckPath(db).c_str(), "r");
-  if (f == nullptr) return out;  // died before the first ack: fine
-  char buf[64];
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-    // A kill mid-ack can tear the final line; only full lines count
-    // (a torn ack was never a completed durability claim).
-    if (std::strchr(buf, '\n') == nullptr) continue;
-    if (buf[0] == '#') {
-      ++out.runs;
-    } else {
-      out.acked.push_back(std::atol(buf));
-    }
-  }
-  std::fclose(f);
-  return out;
-}
-
 int RunVerify(const std::string& db) {
-  const AckFile acks = ReadAcks(db);
-  const std::vector<long>& acked = acks.acked;
+  const std::vector<Run> runs = ReadRuns(db);
   educe::EngineOptions options;
   options.db_path = db;
   educe::Engine engine(options);
@@ -137,47 +164,79 @@ int RunVerify(const std::string& db) {
                  engine.open_status().ToString().c_str());
     return 1;
   }
-  for (const long i : acked) {
-    auto first = engine.First("drill(" + std::to_string(i) + ", X, T)");
-    if (!first.ok()) {
-      std::fprintf(stderr, "verify: acked fact %ld LOST: %s\n", i,
-                   first.status().ToString().c_str());
+  // Every recovered row, by index; each must be intact and unique.
+  std::set<long> rows;
+  if (engine.clause_store()->Find("drill", 3) != nullptr) {
+    auto solutions = engine.Query("drill(I, X, T)");
+    if (!solutions.ok()) {
+      std::fprintf(stderr, "verify: scan failed: %s\n",
+                   solutions.status().ToString().c_str());
       return 1;
     }
-    const std::string want = std::to_string(2 * i);
-    const std::string want_tag = "tag" + std::to_string(i);
-    if ((*first)["X"] != want || (*first)["T"] != want_tag) {
-      std::fprintf(stderr, "verify: fact %ld torn: X=%s T=%s want %s %s\n", i,
-                   (*first)["X"].c_str(), (*first)["T"].c_str(), want.c_str(),
-                   want_tag.c_str());
-      return 1;
+    while (true) {
+      auto more = (*solutions)->Next();
+      if (!more.ok()) {
+        std::fprintf(stderr, "verify: scan failed: %s\n",
+                     more.status().ToString().c_str());
+        return 1;
+      }
+      if (!*more) break;
+      const long i = std::atol((*solutions)->Binding("I").c_str());
+      const std::string x = (*solutions)->Binding("X");
+      const std::string t = (*solutions)->Binding("T");
+      if (x != std::to_string(2 * i) || t != "tag" + std::to_string(i)) {
+        std::fprintf(stderr, "verify: fact %ld torn: X=%s T=%s\n", i,
+                     x.c_str(), t.c_str());
+        return 1;
+      }
+      if (!rows.insert(i).second) {
+        std::fprintf(stderr, "verify: fact %ld recovered twice\n", i);
+        return 1;
+      }
     }
   }
-  uint64_t total = 0;
-  auto count = engine.CountSolutions("drill(I, X, T)");
-  if (count.ok()) {
-    total = *count;
-  } else if (!acked.empty()) {
-    // drill/2 may only be missing when the process died before even its
-    // declare record hit the log — impossible once anything was acked.
-    std::fprintf(stderr, "verify: relation missing with %zu acks: %s\n",
-                 acked.size(), count.status().ToString().c_str());
+  size_t acked_total = 0;
+  size_t rows_in_runs = 0;
+  for (const Run& run : runs) {
+    // The run's recovered rows must be a prefix of what it stored.
+    long present = 0;
+    while (present < run.n_ops && rows.count(run.first + present) != 0) {
+      ++present;
+    }
+    const auto past_gap = rows.lower_bound(run.first + present);
+    if (past_gap != rows.end() && *past_gap < run.first + run.n_ops) {
+      std::fprintf(stderr,
+                   "verify: run from %ld recovered fact %ld past a gap at "
+                   "%ld\n",
+                   run.first, *past_gap, run.first + present);
+      return 1;
+    }
+    for (const long i : run.acked) {
+      if (i < run.first || i >= run.first + present) {
+        std::fprintf(stderr, "verify: acked fact %ld LOST\n", i);
+        return 1;
+      }
+    }
+    // Beyond the acks, only the in-flight call's rows may have landed.
+    const long surplus = present - static_cast<long>(run.acked.size());
+    if (surplus > run.batch) {
+      std::fprintf(stderr,
+                   "verify: run from %ld recovered %ld rows for %zu acks "
+                   "(batch %ld)\n",
+                   run.first, present, run.acked.size(), run.batch);
+      return 1;
+    }
+    acked_total += run.acked.size();
+    rows_in_runs += static_cast<size_t>(present);
+  }
+  if (rows_in_runs != rows.size()) {
+    std::fprintf(stderr, "verify: %zu recovered rows belong to no run\n",
+                 rows.size() - rows_in_runs);
     return 1;
   }
-  // Every crash run can leave at most one logged-but-unacked fact; more
-  // surplus than runs means phantom rows (torn pages, double replay).
-  const uint64_t budget = acked.size() + static_cast<uint64_t>(acks.runs);
-  if (total < acked.size() || total > budget) {
-    std::fprintf(stderr,
-                 "verify: %llu rows recovered for %zu acks over %ld runs "
-                 "(want [acks, acks+runs])\n",
-                 static_cast<unsigned long long>(total), acked.size(),
-                 acks.runs);
-    return 1;
-  }
-  std::printf("verify: OK — %zu acked facts recovered, %llu rows total "
-              "(%llu WAL records replayed)\n",
-              acked.size(), static_cast<unsigned long long>(total),
+  std::printf("verify: OK — %zu acked facts recovered, %zu rows total over "
+              "%zu runs (%llu WAL records replayed)\n",
+              acked_total, rows.size(), runs.size(),
               static_cast<unsigned long long>(
                   engine.Stats().wal_records_replayed));
   return 0;
@@ -188,13 +247,14 @@ int RunVerify(const std::string& db) {
 int main(int argc, char** argv) {
   if (argc >= 3 && std::string(argv[1]) == "crash") {
     const long n_ops = argc >= 4 ? std::atol(argv[3]) : 120;
-    return RunCrash(argv[2], n_ops > 0 ? n_ops : 120);
+    const long batch = argc >= 5 ? std::atol(argv[4]) : 1;
+    return RunCrash(argv[2], n_ops > 0 ? n_ops : 120, batch > 0 ? batch : 1);
   }
   if (argc >= 3 && std::string(argv[1]) == "verify") {
     return RunVerify(argv[2]);
   }
   std::fprintf(stderr,
-               "usage: recovery_drill crash <db> [n_ops]\n"
+               "usage: recovery_drill crash <db> [n_ops [batch]]\n"
                "       recovery_drill verify <db>\n"
                "Arm a crash with EDUCE_FAULT_POINT=\"<site>:kill:<n>\" "
                "(sites: wal_append, wal_fsync, image_page_write, "

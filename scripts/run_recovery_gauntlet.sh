@@ -3,7 +3,11 @@
 # writer mid-I/O at every durability fault site, reopen, and assert that
 # no acked fact was lost and no torn state survived. Each site gets two
 # rounds on the same database — the second crash lands on top of
-# already-recovered state, so recovery-of-recovery is covered too.
+# already-recovered state, so recovery-of-recovery is covered too. The
+# whole matrix runs twice: one fact per store call (batch 1), and 16
+# facts per call (batch 16), where a kill can land inside a call's run
+# of records and verify allows only a prefix of that call beyond the
+# acks.
 #
 #   BUILD_DIR=build scripts/run_recovery_gauntlet.sh
 #
@@ -27,31 +31,34 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 failures=0
-for site in wal_append wal_fsync image_page_write checkpoint; do
-  for n in 1 3 7; do
-    db="$WORK/gauntlet_${site}_${n}.edb"
-    echo "=== kill -9 at $site (I/O #$n) ==="
-    set +e
-    EDUCE_FAULT_POINT="$site:kill:$n" "$DRILL" crash "$db" "$OPS"
-    rc=$?
-    set -e
-    echo "--- crash exit $rc (137 = died at the armed fault)"
-    if ! "$DRILL" verify "$db"; then
-      echo "!!! LOST DATA: kill at $site:$n" >&2
-      failures=$((failures + 1))
-      continue
-    fi
-    # Round two: crash again on top of the recovered database, at a
-    # different I/O count, then verify the combined ack set.
-    set +e
-    EDUCE_FAULT_POINT="$site:kill:$((n + 2))" "$DRILL" crash "$db" "$OPS"
-    rc=$?
-    set -e
-    echo "--- second crash exit $rc"
-    if ! "$DRILL" verify "$db"; then
-      echo "!!! LOST DATA: second kill at $site" >&2
-      failures=$((failures + 1))
-    fi
+for batch in 1 16; do
+  for site in wal_append wal_fsync image_page_write checkpoint; do
+    for n in 1 3 7; do
+      db="$WORK/gauntlet_b${batch}_${site}_${n}.edb"
+      echo "=== kill -9 at $site (I/O #$n), batch $batch ==="
+      set +e
+      EDUCE_FAULT_POINT="$site:kill:$n" "$DRILL" crash "$db" "$OPS" "$batch"
+      rc=$?
+      set -e
+      echo "--- crash exit $rc (137 = died at the armed fault)"
+      if ! "$DRILL" verify "$db"; then
+        echo "!!! LOST DATA: kill at $site:$n, batch $batch" >&2
+        failures=$((failures + 1))
+        continue
+      fi
+      # Round two: crash again on top of the recovered database, at a
+      # different I/O count, then verify the combined ack set.
+      set +e
+      EDUCE_FAULT_POINT="$site:kill:$((n + 2))" \
+        "$DRILL" crash "$db" "$OPS" "$batch"
+      rc=$?
+      set -e
+      echo "--- second crash exit $rc"
+      if ! "$DRILL" verify "$db"; then
+        echo "!!! LOST DATA: second kill at $site, batch $batch" >&2
+        failures=$((failures + 1))
+      fi
+    done
   done
 done
 

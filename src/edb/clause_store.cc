@@ -231,32 +231,32 @@ ClauseStore::ClauseStore(storage::BufferPool* pool,
 base::Result<ProcedureInfo*> ClauseStore::Declare(
     std::string_view name, uint32_t arity, ProcedureMode mode,
     std::vector<uint32_t> key_attrs) {
-  uint64_t lsn = 0;
-  ProcedureInfo* proc = nullptr;
-  {
-    std::unique_lock<obs::TrackedSharedMutex> latch(latch_);
-    // Validate (and resolve defaulted key attributes) before logging: a
-    // rejected declare must leave no record behind, because replay
-    // tolerates only AlreadyExists — a logged-then-refused declare
-    // would turn into Corruption on every recovery after the next
-    // crash, wedging the database.
-    EDUCE_RETURN_IF_ERROR(ValidateDeclareLocked(name, arity, mode,
-                                                &key_attrs));
-    if (wal_ != nullptr) {
-      // Log-before-update; the declare must replay before any row of the
-      // new relation, which its LSN (assigned under the same exclusive
-      // catalog hold that publishes the procedure) guarantees. If the
-      // apply below fails after the append, the logged declare replays
-      // into a procedure no live session ever saw — harmless.
-      EDUCE_ASSIGN_OR_RETURN(
-          lsn, wal_->Append(kWalDeclare, EncodeDeclareRecord(
-                                name, arity, mode, key_attrs)));
-    }
-    EDUCE_ASSIGN_OR_RETURN(
-        proc, DeclareLocked(name, arity, mode, std::move(key_attrs)));
+  std::unique_lock<obs::TrackedSharedMutex> latch(latch_);
+  // Validate (and resolve defaulted key attributes) before logging: a
+  // rejected declare must leave no record behind, because replay
+  // tolerates only AlreadyExists — a logged-then-refused declare would
+  // turn into Corruption on every recovery after the next crash,
+  // wedging the database.
+  EDUCE_RETURN_IF_ERROR(ValidateDeclareLocked(name, arity, mode, &key_attrs));
+  if (wal_ != nullptr) {
+    // Log-before-update; the declare must replay before any row of the
+    // new relation, which its LSN (assigned under the same exclusive
+    // catalog hold that publishes the procedure) guarantees. If the
+    // apply below fails after the append, the logged declare replays
+    // into a procedure no live session ever saw — harmless.
+    EDUCE_RETURN_IF_ERROR(
+        wal_->Append(kWalDeclare,
+                     EncodeDeclareRecord(name, arity, mode, key_attrs))
+            .status());
   }
-  if (wal_ != nullptr) EDUCE_RETURN_IF_ERROR(wal_->Commit(lsn));
-  return proc;
+  return DeclareLocked(name, arity, mode, std::move(key_attrs));
+}
+
+base::Status ClauseStore::Commit() {
+  if (wal_ == nullptr) return base::Status::OK();
+  // Group commit: one fsync covers every record appended so far, this
+  // caller's and any concurrent writer's alike.
+  return wal_->Commit(wal_->last_lsn());
 }
 
 base::Status ClauseStore::ValidateDeclareLocked(
@@ -417,34 +417,27 @@ base::Status ClauseStore::StoreFact(ProcedureInfo* proc,
       keys.push_back(KeyOfGroundArg(*fact.args[attr], *dictionary_));
     }
   }
-  uint64_t lsn = 0;
-  {
-    std::shared_lock<obs::TrackedSharedMutex> catalog(latch_);
-    std::unique_lock<obs::TrackedSharedMutex> latch(*proc->latch);
-    // Encoding happens inside the exclusive hold: EncodeGroundTerm
-    // Ensure()s fresh atoms into the external dictionary, which appends
-    // a kWalDictEntry record and dirties dictionary pages — mutations
-    // that must be fenced by WithMutationsBlocked's shared sweep, or an
-    // online checkpoint could flush/serialize around them and Wal::Reset
-    // would drop a dict record absent from the image.
-    EDUCE_ASSIGN_OR_RETURN(std::string payload,
-                           codec_->EncodeGroundTerm(fact));
-    if (wal_ != nullptr) {
-      // Log-before-update: if the append fails the relation is untouched;
-      // if the insert below fails the log carries a record whose effect
-      // the process never observed — harmless, because recovery replays
-      // it into a state no live session ever read.
-      EDUCE_ASSIGN_OR_RETURN(
-          lsn, wal_->Append(kWalFactRow,
-                            EncodeFactRowRecord(*proc, keys, payload)));
-    }
-    EDUCE_RETURN_IF_ERROR(proc->relation->Insert(keys, payload));
-    NotifyMutation(proc);
-    ++stats_.facts_stored;
+  std::shared_lock<obs::TrackedSharedMutex> catalog(latch_);
+  std::unique_lock<obs::TrackedSharedMutex> latch(*proc->latch);
+  // Encoding happens inside the exclusive hold: EncodeGroundTerm
+  // Ensure()s fresh atoms into the external dictionary, which appends a
+  // kWalDictEntry record and dirties dictionary pages — mutations that
+  // must be fenced by WithMutationsBlocked's shared sweep, or an online
+  // checkpoint could flush/serialize around them and Wal::Reset would
+  // drop a dict record absent from the image.
+  EDUCE_ASSIGN_OR_RETURN(std::string payload, codec_->EncodeGroundTerm(fact));
+  if (wal_ != nullptr) {
+    // Log-before-update: if the append fails the relation is untouched;
+    // if the insert below fails the log carries a record whose effect
+    // the process never observed — harmless, because recovery replays it
+    // into a state no live session ever read.
+    EDUCE_RETURN_IF_ERROR(
+        wal_->Append(kWalFactRow, EncodeFactRowRecord(*proc, keys, payload))
+            .status());
   }
-  // Durability point outside the latch: concurrent writers of other
-  // procedures ride the same fsync (group commit).
-  if (wal_ != nullptr) EDUCE_RETURN_IF_ERROR(wal_->Commit(lsn));
+  EDUCE_RETURN_IF_ERROR(proc->relation->Insert(keys, payload));
+  NotifyMutation(proc);
+  ++stats_.facts_stored;
   return base::Status::OK();
 }
 
@@ -497,33 +490,30 @@ base::Status ClauseStore::StoreRuleCompiled(ProcedureInfo* proc,
       break;
     }
   }
-  uint64_t lsn = 0;
-  {
-    std::shared_lock<obs::TrackedSharedMutex> catalog(latch_);
-    std::unique_lock<obs::TrackedSharedMutex> latch(*proc->latch);
-    // Inside the exclusive hold for the same reason as StoreFact:
-    // EncodeClause Ensure()s operand symbols into the external
-    // dictionary, and those WAL appends + page writes must be excluded
-    // by the checkpoint fence.
-    EDUCE_ASSIGN_OR_RETURN(std::string bytes, codec_->EncodeClause(code));
-    const uint32_t clause_id = proc->next_clause_id++;
-    if (wal_ != nullptr) {
-      EDUCE_ASSIGN_OR_RETURN(
-          lsn, wal_->Append(kWalRuleRow,
-                            EncodeRuleRowRecord(*proc, arg_key, clause_id,
-                                                /*has_code=*/true, bytes)));
-    }
+  std::shared_lock<obs::TrackedSharedMutex> catalog(latch_);
+  std::unique_lock<obs::TrackedSharedMutex> latch(*proc->latch);
+  // Inside the exclusive hold for the same reason as StoreFact:
+  // EncodeClause Ensure()s operand symbols into the external dictionary,
+  // and those WAL appends + page writes must be excluded by the
+  // checkpoint fence.
+  EDUCE_ASSIGN_OR_RETURN(std::string bytes, codec_->EncodeClause(code));
+  const uint32_t clause_id = proc->next_clause_id++;
+  if (wal_ != nullptr) {
     EDUCE_RETURN_IF_ERROR(
-        proc->relation->Insert({arg_key, clause_id}, RowFlag(true)));
-    {
-      std::unique_lock<obs::TrackedSharedMutex> clauses(clauses_mu_);
-      EDUCE_RETURN_IF_ERROR(
-          clauses_relation_->Insert({proc->functor_hash, clause_id}, bytes));
-    }
-    NotifyMutation(proc);
-    ++stats_.rules_stored;
+        wal_->Append(kWalRuleRow,
+                     EncodeRuleRowRecord(*proc, arg_key, clause_id,
+                                         /*has_code=*/true, bytes))
+            .status());
   }
-  if (wal_ != nullptr) EDUCE_RETURN_IF_ERROR(wal_->Commit(lsn));
+  EDUCE_RETURN_IF_ERROR(
+      proc->relation->Insert({arg_key, clause_id}, RowFlag(true)));
+  {
+    std::unique_lock<obs::TrackedSharedMutex> clauses(clauses_mu_);
+    EDUCE_RETURN_IF_ERROR(
+        clauses_relation_->Insert({proc->functor_hash, clause_id}, bytes));
+  }
+  NotifyMutation(proc);
+  ++stats_.rules_stored;
   return base::Status::OK();
 }
 
@@ -533,30 +523,27 @@ base::Status ClauseStore::StoreRuleSource(ProcedureInfo* proc,
     return base::Status::InvalidArgument(proc->name +
                                          " does not store source rules");
   }
-  uint64_t lsn = 0;
-  {
-    std::shared_lock<obs::TrackedSharedMutex> catalog(latch_);
-    std::unique_lock<obs::TrackedSharedMutex> latch(*proc->latch);
-    const uint32_t clause_id = proc->next_clause_id++;
-    if (wal_ != nullptr) {
-      EDUCE_ASSIGN_OR_RETURN(
-          lsn, wal_->Append(kWalRuleRow,
-                            EncodeRuleRowRecord(*proc, kVarRuleKey, clause_id,
-                                                /*has_code=*/false, text)));
-    }
-    // Source mode has no usable index key (paper: "poor selectivity ...
-    // the interpreter retrieves all the clauses for the procedure").
+  std::shared_lock<obs::TrackedSharedMutex> catalog(latch_);
+  std::unique_lock<obs::TrackedSharedMutex> latch(*proc->latch);
+  const uint32_t clause_id = proc->next_clause_id++;
+  if (wal_ != nullptr) {
     EDUCE_RETURN_IF_ERROR(
-        proc->relation->Insert({kVarRuleKey, clause_id}, RowFlag(false)));
-    {
-      std::unique_lock<obs::TrackedSharedMutex> clauses(clauses_mu_);
-      EDUCE_RETURN_IF_ERROR(clauses_relation_->Insert(
-          {proc->functor_hash, clause_id}, std::string(text)));
-    }
-    NotifyMutation(proc);
-    ++stats_.rules_stored;
+        wal_->Append(kWalRuleRow,
+                     EncodeRuleRowRecord(*proc, kVarRuleKey, clause_id,
+                                         /*has_code=*/false, text))
+            .status());
   }
-  if (wal_ != nullptr) EDUCE_RETURN_IF_ERROR(wal_->Commit(lsn));
+  // Source mode has no usable index key (paper: "poor selectivity ...
+  // the interpreter retrieves all the clauses for the procedure").
+  EDUCE_RETURN_IF_ERROR(
+      proc->relation->Insert({kVarRuleKey, clause_id}, RowFlag(false)));
+  {
+    std::unique_lock<obs::TrackedSharedMutex> clauses(clauses_mu_);
+    EDUCE_RETURN_IF_ERROR(clauses_relation_->Insert(
+        {proc->functor_hash, clause_id}, std::string(text)));
+  }
+  NotifyMutation(proc);
+  ++stats_.rules_stored;
   return base::Status::OK();
 }
 
@@ -885,25 +872,22 @@ base::Result<term::AstPtr> ClauseStore::FactCursor::Next() {
 
 base::Status ClauseStore::DeleteFact(ProcedureInfo* proc,
                                      storage::RecordId rid) {
-  uint64_t lsn = 0;
-  {
-    std::shared_lock<obs::TrackedSharedMutex> catalog(latch_);
-    std::unique_lock<obs::TrackedSharedMutex> latch(*proc->latch);
-    // Unlike inserts, the delete applies *before* it is logged: Delete
-    // can legitimately fail (a raced rid — edb_retract tolerates
-    // NotFound), and a pre-logged record for a delete that never
-    // happened would fail replay. The flipped order is safe because
-    // pages only reach the image at a checkpoint, which absorbs every
-    // record appended up to that instant; a crash between apply and
-    // append merely loses an unacked delete.
-    EDUCE_RETURN_IF_ERROR(proc->relation->Delete(rid));
-    if (wal_ != nullptr) {
-      EDUCE_ASSIGN_OR_RETURN(
-          lsn, wal_->Append(kWalDeleteRow, EncodeDeleteRowRecord(*proc, rid)));
-    }
-    NotifyMutation(proc);
+  std::shared_lock<obs::TrackedSharedMutex> catalog(latch_);
+  std::unique_lock<obs::TrackedSharedMutex> latch(*proc->latch);
+  // Unlike inserts, the delete applies *before* it is logged: Delete can
+  // legitimately fail (a raced rid — edb_retract tolerates NotFound), and
+  // a pre-logged record for a delete that never happened would fail
+  // replay. The flipped order is safe because pages only reach the image
+  // at a checkpoint, which absorbs every record appended up to that
+  // instant; a crash between apply and append merely loses an unacked
+  // delete.
+  EDUCE_RETURN_IF_ERROR(proc->relation->Delete(rid));
+  if (wal_ != nullptr) {
+    EDUCE_RETURN_IF_ERROR(
+        wal_->Append(kWalDeleteRow, EncodeDeleteRowRecord(*proc, rid))
+            .status());
   }
-  if (wal_ != nullptr) EDUCE_RETURN_IF_ERROR(wal_->Commit(lsn));
+  NotifyMutation(proc);
   return base::Status::OK();
 }
 

@@ -146,7 +146,9 @@ struct ClauseStoreStats {
 /// physiological redo record to the WAL *before* touching the relation
 /// (log-before-update), under the same procedure latch that orders the
 /// mutation — so replay order equals apply order per procedure. The
-/// commit fsync happens after the latch releases (group commit).
+/// write methods only append: the commit unit is one public call, and
+/// the entry point that acknowledges it calls Commit() (or CommitAfter)
+/// once, with no latch held, before it returns (group commit).
 class ClauseStore {
  public:
   ClauseStore(storage::BufferPool* pool, ExternalDictionary* external,
@@ -267,9 +269,27 @@ class ClauseStore {
                                      const CallPattern& pattern);
 
   /// Attaches the write-ahead log: from here on every mutation is
-  /// logged before it is applied, and Commit()ed after. Call before any
-  /// mutation (the engine wires it right after catalog restore/replay).
+  /// logged before it is applied. Call before any mutation (the engine
+  /// wires it right after catalog restore/replay).
   void set_wal(storage::Wal* wal) { wal_ = wal; }
+
+  /// The commit point of one acknowledging call (DESIGN.md §17.1): makes
+  /// every record appended so far durable — one group-committed fsync
+  /// however many records the call appended. The write methods (Declare,
+  /// StoreFact, StoreRule*, DeleteFact) never commit themselves. OK and
+  /// free without a WAL.
+  base::Status Commit();
+
+  /// Runs `body`, a sequence of write-method calls making up one
+  /// acknowledging call, then Commit() — on `body`'s error path too, so a
+  /// call that fails part-way leaves the prefix it applied durable, as a
+  /// commit per record would. `body`'s own error wins over the commit's.
+  template <typename Body>
+  base::Status CommitAfter(Body&& body) {
+    base::Status outcome = body();
+    base::Status committed = Commit();
+    return outcome.ok() ? committed : outcome;
+  }
 
   /// Applies one WAL record during recovery (ARIES redo). Replay is
   /// idempotence-free by construction: the engine replays only records

@@ -104,8 +104,9 @@ base::Result<uint64_t> ExternalDictionary::Ensure(std::string_view name,
   if (wal_ != nullptr) {
     // Log-before-update. No Commit here: the entry only matters once a
     // row embedding its hash commits, and that row's record is appended
-    // after this one — its fsync covers both. A logged entry whose
-    // insert below fails replays harmlessly (Ensure is idempotent).
+    // after this one — the commit that covers the row covers both. A
+    // logged entry whose insert below fails replays harmlessly (Ensure
+    // is idempotent).
     EDUCE_RETURN_IF_ERROR(wal_->Append(kWalDictEntry, payload).status());
   }
   EDUCE_RETURN_IF_ERROR(file_.Insert({hash}, payload));

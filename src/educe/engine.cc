@@ -251,6 +251,7 @@ Engine::Engine(EngineOptions options)
     base::Status restored = clause_store_.RestoreCatalog(boot_.catalog_state);
     if (!restored.ok()) {
       boot_.attached = false;
+      boot_.recovery = restored;
       if (boot_.status.ok()) boot_.status = restored;
     } else if (options_.load_warm_segment && !boot_.warm_bytes.empty()) {
       auto warm = edb::LoadWarmSegment(
@@ -273,6 +274,7 @@ Engine::Engine(EngineOptions options)
     auto opened = storage::Wal::Open(WalPathFor(options_), wal_options);
     if (!opened.ok()) {
       // Run non-durable rather than not at all; surfaced via open_status.
+      if (boot_.recovery.ok()) boot_.recovery = opened.status();
       if (boot_.status.ok()) boot_.status = opened.status();
     } else {
       wal_ = std::move(opened).value();
@@ -282,6 +284,7 @@ Engine::Engine(EngineOptions options)
             return clause_store_.ApplyWalRecord(type, payload);
           });
       if (!replayed.ok()) {
+        if (boot_.recovery.ok()) boot_.recovery = replayed.status();
         if (boot_.status.ok()) boot_.status = replayed.status();
       } else {
         boot_.wal_replayed = replayed.value().records;
@@ -333,6 +336,10 @@ base::Status Engine::Checkpoint() {
 }
 
 base::Status Engine::WriteImage() {
+  // After a failed recovery the image and log hold state this session
+  // never rebuilt: saving its partial store and resetting the log would
+  // make the loss permanent. Leave both files as found.
+  EDUCE_RETURN_IF_ERROR(boot_.recovery);
   // Shorten the stalled-mutator window: most of the log is usually
   // already durable, so sync it before freezing the store.
   if (wal_ != nullptr) EDUCE_RETURN_IF_ERROR(wal_->SyncAll());
@@ -433,14 +440,16 @@ void Engine::RegisterEdbBuiltins() {
           return err(m, base::Status::TypeError("edb_assert/1 needs a fact"));
         }
         const std::string_view name = dictionary_.NameOf(fact->functor);
-        edb::ProcedureInfo* proc = clause_store_.Find(name, fact->arity());
-        if (proc == nullptr) {
-          auto declared = clause_store_.Declare(name, fact->arity(),
-                                                edb::ProcedureMode::kFacts);
-          if (!declared.ok()) return err(m, declared.status());
-          proc = *declared;
-        }
-        base::Status st = clause_store_.StoreFact(proc, *fact);
+        // A first-use declare and its row are one call: one commit.
+        base::Status st = clause_store_.CommitAfter([&]() -> base::Status {
+          edb::ProcedureInfo* proc = clause_store_.Find(name, fact->arity());
+          if (proc == nullptr) {
+            EDUCE_ASSIGN_OR_RETURN(
+                proc, clause_store_.Declare(name, fact->arity(),
+                                            edb::ProcedureMode::kFacts));
+          }
+          return clause_store_.StoreFact(proc, *fact);
+        });
         if (!st.ok()) return err(m, st);
         return BuiltinResult::kTrue;
       });
@@ -472,6 +481,8 @@ void Engine::RegisterEdbBuiltins() {
           if (!imported.ok()) return err(m, imported.status());
           if (m->Unify(m->X(0), *imported)) {
             base::Status st = clause_store_.DeleteFact(proc, match.rid);
+            // A failed DeleteFact appended nothing; only a success commits.
+            if (st.ok()) st = clause_store_.Commit();
             if (st.ok()) return BuiltinResult::kTrue;
             if (!st.IsNotFound()) return err(m, st);
           }
@@ -611,33 +622,39 @@ base::Status Engine::ConsultFile(const std::string& path) {
 
 base::Status Engine::DeclareRelation(std::string_view name, uint32_t arity,
                                      std::vector<uint32_t> key_attrs) {
-  return clause_store_
-      .Declare(name, arity, edb::ProcedureMode::kFacts, std::move(key_attrs))
-      .status();
+  return clause_store_.CommitAfter([&] {
+    return clause_store_
+        .Declare(name, arity, edb::ProcedureMode::kFacts, std::move(key_attrs))
+        .status();
+  });
 }
 
 base::Status Engine::StoreFactsExternal(std::string_view source) {
   EDUCE_ASSIGN_OR_RETURN(std::vector<reader::ReadTerm> facts,
                          reader::ParseProgram(&dictionary_, source));
-  for (const auto& fact : facts) {
-    const term::Ast& t = *fact.term;
-    if (!t.IsCallable()) {
-      return base::Status::InvalidArgument("facts must be atoms or compounds");
+  // The whole call is one commit (DESIGN.md §17.1).
+  return clause_store_.CommitAfter([&]() -> base::Status {
+    for (const auto& fact : facts) {
+      const term::Ast& t = *fact.term;
+      if (!t.IsCallable()) {
+        return base::Status::InvalidArgument(
+            "facts must be atoms or compounds");
+      }
+      const std::string_view name = dictionary_.NameOf(t.functor);
+      if (name == ":-") {
+        return base::Status::InvalidArgument(
+            "rules cannot be stored as facts; use StoreRulesExternal");
+      }
+      edb::ProcedureInfo* proc = clause_store_.Find(name, t.arity());
+      if (proc == nullptr) {
+        EDUCE_ASSIGN_OR_RETURN(
+            proc, clause_store_.Declare(name, t.arity(),
+                                        edb::ProcedureMode::kFacts));
+      }
+      EDUCE_RETURN_IF_ERROR(clause_store_.StoreFact(proc, t));
     }
-    const std::string_view name = dictionary_.NameOf(t.functor);
-    if (name == ":-") {
-      return base::Status::InvalidArgument(
-          "rules cannot be stored as facts; use StoreRulesExternal");
-    }
-    edb::ProcedureInfo* proc = clause_store_.Find(name, t.arity());
-    if (proc == nullptr) {
-      EDUCE_ASSIGN_OR_RETURN(
-          proc, clause_store_.Declare(name, t.arity(),
-                                      edb::ProcedureMode::kFacts));
-    }
-    EDUCE_RETURN_IF_ERROR(clause_store_.StoreFact(proc, t));
-  }
-  return base::Status::OK();
+    return base::Status::OK();
+  });
 }
 
 base::Status Engine::StoreRulesExternal(std::string_view source) {
@@ -646,60 +663,63 @@ base::Status Engine::StoreRulesExternal(std::string_view source) {
   const edb::ProcedureMode mode = options_.rule_storage == RuleStorage::kCompiled
                                       ? edb::ProcedureMode::kCompiledRules
                                       : edb::ProcedureMode::kSourceRules;
-  for (const auto& clause : clauses) {
-    // Identify the head functor.
-    term::AstPtr head = clause.term;
-    if (head->IsStruct() && dictionary_.NameOf(head->functor) == ":-" &&
-        head->args.size() == 2) {
-      head = head->args[0];
-    }
-    if (!head->IsCallable()) {
-      return base::Status::InvalidArgument("clause head must be callable");
-    }
-    const std::string_view name = dictionary_.NameOf(head->functor);
-    edb::ProcedureInfo* proc = clause_store_.Find(name, head->arity());
-    if (proc == nullptr) {
-      EDUCE_ASSIGN_OR_RETURN(
-          proc, clause_store_.Declare(name, head->arity(), mode));
-    } else if (proc->mode == edb::ProcedureMode::kFacts) {
-      return base::Status::InvalidArgument(std::string(name) +
-                                           " is a fact relation");
-    }
-
-    if (proc->mode == edb::ProcedureMode::kSourceRules) {
-      // Store the clause as (quoted, re-parseable) text.
-      reader::WriteOptions wo;
-      const std::string text =
-          reader::WriteTerm(dictionary_, *clause.term, wo) + " .";
-      EDUCE_RETURN_IF_ERROR(clause_store_.StoreRuleSource(proc, text));
-      datalog_->AddClause(clause.term);
-      continue;
-    }
-
-    // Compiled mode: compile now; the main clause's code goes to the EDB,
-    // auxiliary predicates extracted from control constructs stay in main
-    // memory (they are implementation details of this clause).
-    EDUCE_ASSIGN_OR_RETURN(std::vector<wam::CompiledClause> compiled,
-                           program_.compiler()->Compile(clause.term));
-    if (compiled.size() > 1) {
-      // Auxiliary clauses must be installed into the shared base program,
-      // which is frozen while worker sessions run. Plain clauses (no
-      // control constructs) store fine under load.
-      EDUCE_RETURN_IF_ERROR(
-          RefuseIfSessionsActive("StoreRulesExternal with control constructs"));
-    }
-    bool main = true;
-    for (auto& c : compiled) {
-      if (main) {
-        EDUCE_RETURN_IF_ERROR(clause_store_.StoreRuleCompiled(proc, c.code));
-        main = false;
-      } else {
-        EDUCE_RETURN_IF_ERROR(program_.AddCompiled(std::move(c)));
+  // The whole call is one commit (DESIGN.md §17.1).
+  return clause_store_.CommitAfter([&]() -> base::Status {
+    for (const auto& clause : clauses) {
+      // Identify the head functor.
+      term::AstPtr head = clause.term;
+      if (head->IsStruct() && dictionary_.NameOf(head->functor) == ":-" &&
+          head->args.size() == 2) {
+        head = head->args[0];
       }
+      if (!head->IsCallable()) {
+        return base::Status::InvalidArgument("clause head must be callable");
+      }
+      const std::string_view name = dictionary_.NameOf(head->functor);
+      edb::ProcedureInfo* proc = clause_store_.Find(name, head->arity());
+      if (proc == nullptr) {
+        EDUCE_ASSIGN_OR_RETURN(
+            proc, clause_store_.Declare(name, head->arity(), mode));
+      } else if (proc->mode == edb::ProcedureMode::kFacts) {
+        return base::Status::InvalidArgument(std::string(name) +
+                                             " is a fact relation");
+      }
+
+      if (proc->mode == edb::ProcedureMode::kSourceRules) {
+        // Store the clause as (quoted, re-parseable) text.
+        reader::WriteOptions wo;
+        const std::string text =
+            reader::WriteTerm(dictionary_, *clause.term, wo) + " .";
+        EDUCE_RETURN_IF_ERROR(clause_store_.StoreRuleSource(proc, text));
+        datalog_->AddClause(clause.term);
+        continue;
+      }
+
+      // Compiled mode: compile now; the main clause's code goes to the EDB,
+      // auxiliary predicates extracted from control constructs stay in main
+      // memory (they are implementation details of this clause).
+      EDUCE_ASSIGN_OR_RETURN(std::vector<wam::CompiledClause> compiled,
+                             program_.compiler()->Compile(clause.term));
+      if (compiled.size() > 1) {
+        // Auxiliary clauses must be installed into the shared base program,
+        // which is frozen while worker sessions run. Plain clauses (no
+        // control constructs) store fine under load.
+        EDUCE_RETURN_IF_ERROR(RefuseIfSessionsActive(
+            "StoreRulesExternal with control constructs"));
+      }
+      bool main = true;
+      for (auto& c : compiled) {
+        if (main) {
+          EDUCE_RETURN_IF_ERROR(clause_store_.StoreRuleCompiled(proc, c.code));
+          main = false;
+        } else {
+          EDUCE_RETURN_IF_ERROR(program_.AddCompiled(std::move(c)));
+        }
+      }
+      datalog_->AddClause(clause.term);
     }
-    datalog_->AddClause(clause.term);
-  }
-  return base::Status::OK();
+    return base::Status::OK();
+  });
 }
 
 base::Result<std::unique_ptr<Solutions>> Engine::Query(std::string_view goal,

@@ -76,8 +76,9 @@ struct EngineOptions {
   bool wal = true;
   /// When to fsync the log: kCommit (default, every mutation durable when
   /// its store call returns, group-committed) or kNone (fsync only at
-  /// checkpoints — faster, loses the tail on power failure but still
-  /// crash-consistent).
+  /// checkpoints; loses the tail on power failure but still
+  /// crash-consistent). kCommit fsyncs once per call, not once per fact,
+  /// so a bulk load needs no kNone to be fast.
   storage::Wal::SyncPolicy wal_sync = storage::Wal::SyncPolicy::kCommit;
 
   /// Rule storage mode for StoreRulesExternal.
@@ -380,11 +381,14 @@ class Engine {
                                std::vector<uint32_t> key_attrs = {});
 
   /// Stores ground facts into their (pre-declared or auto-declared)
-  /// relations.
+  /// relations. With a WAL, the whole call is one commit (one fsync
+  /// under kCommit) before it returns, on its error path too
+  /// (DESIGN.md §17.1).
   base::Status StoreFactsExternal(std::string_view source);
 
   /// Stores rule clauses externally per options().rule_storage. All
-  /// clauses of one predicate must be stored in one mode.
+  /// clauses of one predicate must be stored in one mode. One commit
+  /// per call, like StoreFactsExternal.
   base::Status StoreRulesExternal(std::string_view source);
 
   /// --- queries -------------------------------------------------------------
@@ -441,7 +445,9 @@ class Engine {
   /// catalog, and the superblock, flushes the pool, and saves the paged
   /// file to disk. Idempotent; a no-op without a db_path. After Close()
   /// the engine remains usable but further mutations are not persisted
-  /// until the next Close().
+  /// until the next Close(). If recovery failed at open (catalog restore,
+  /// log open or replay), returns that error and writes nothing: saving
+  /// the partial state would make the loss permanent.
   base::Status Close();
 
   /// Mid-session checkpoint: writes the same image Close() writes (warm
@@ -450,7 +456,8 @@ class Engine {
   /// Checkpoint()/Close(). Online: worker sessions keep running queries
   /// throughout — the store's latches are all taken *shared*
   /// (WithMutationsBlocked), so only mutators stall for the image write.
-  /// FailedPrecondition without a db_path.
+  /// FailedPrecondition without a db_path; refused like Close() after a
+  /// failed recovery.
   base::Status Checkpoint();
 
   /// Whether this session attached to an existing on-disk image.
@@ -458,7 +465,8 @@ class Engine {
 
   /// Non-OK when something persisted was present but rejected (corrupt
   /// image, stale superblock, damaged warm segment): the session started
-  /// cold instead. Never fatal.
+  /// cold instead — or when recovery failed, which also freezes the
+  /// on-disk files (see Close()). Never fatal.
   const base::Status& open_status() const { return boot_.status; }
 
   /// --- buffer / stats ------------------------------------------------------
@@ -573,6 +581,11 @@ class Engine {
     uint64_t wal_lsn = 0;
     /// Records redone at open (recovery happened iff non-zero).
     uint64_t wal_replayed = 0;
+    /// Non-OK when catalog restore, log open or log replay failed. The
+    /// image and log then hold state this session could not rebuild, so
+    /// Close() and Checkpoint() refuse with this status and leave both
+    /// files as found (a rejected image, by contrast, is a cold start).
+    base::Status recovery;
   };
 
   static AttachState AttachImage(storage::PagedFile* file,

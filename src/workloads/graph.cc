@@ -61,23 +61,26 @@ std::vector<GraphWorkload::Edge> GraphWorkload::RandomDag(uint64_t nodes,
 
 base::Status GraphWorkload::StoreEdges(Engine* engine, std::string_view pred,
                                        const std::vector<Edge>& edges) {
-  edb::ClauseStore* store = engine->clause_store();
-  edb::ProcedureInfo* proc = store->Find(pred, 2);
-  if (proc == nullptr) {
-    EDUCE_ASSIGN_OR_RETURN(
-        proc, store->Declare(pred, 2, edb::ProcedureMode::kFacts));
-  }
   EDUCE_ASSIGN_OR_RETURN(const dict::SymbolId functor,
                          engine->dictionary()->Intern(pred, 2));
-  for (const Edge& edge : edges) {
-    std::vector<term::AstPtr> args;
-    args.reserve(2);
-    args.push_back(term::MakeInt(edge.first));
-    args.push_back(term::MakeInt(edge.second));
-    const term::AstPtr fact = term::MakeStruct(functor, std::move(args));
-    EDUCE_RETURN_IF_ERROR(store->StoreFact(proc, *fact));
-  }
-  return base::Status::OK();
+  edb::ClauseStore* store = engine->clause_store();
+  // One commit for the declare and every edge (DESIGN.md §17.1).
+  return store->CommitAfter([&]() -> base::Status {
+    edb::ProcedureInfo* proc = store->Find(pred, 2);
+    if (proc == nullptr) {
+      EDUCE_ASSIGN_OR_RETURN(
+          proc, store->Declare(pred, 2, edb::ProcedureMode::kFacts));
+    }
+    for (const Edge& edge : edges) {
+      std::vector<term::AstPtr> args;
+      args.reserve(2);
+      args.push_back(term::MakeInt(edge.first));
+      args.push_back(term::MakeInt(edge.second));
+      const term::AstPtr fact = term::MakeStruct(functor, std::move(args));
+      EDUCE_RETURN_IF_ERROR(store->StoreFact(proc, *fact));
+    }
+    return base::Status::OK();
+  });
 }
 
 std::string GraphWorkload::EdgeFactsText(std::string_view pred,

@@ -10,9 +10,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -22,6 +26,7 @@
 #include "educe/engine.h"
 #include "storage/io_util.h"
 #include "storage/paged_file.h"
+#include "storage/wal.h"
 
 namespace educe {
 namespace {
@@ -118,31 +123,35 @@ void VerifyRecovered(const std::string& path, const std::vector<int>& acked) {
   EXPECT_LE(*total, acked.size() + 1);
 }
 
+// The site is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which would put a per-build value into
+// the registered test name.
 class RecoveryGauntletTest : public ::testing::TestWithParam<
-                                 std::pair<const char*, uint64_t>> {};
+                                 std::pair<std::string, uint64_t>> {};
 
 TEST_P(RecoveryGauntletTest, Kill9LosesNoAckedFact) {
-  const auto [site, nth] = GetParam();
+  const auto& [site, nth] = GetParam();
   const std::string path =
-      TempDbPath(std::string("kill_") + site + "_" + std::to_string(nth));
-  const std::vector<int> acked = RunCrashChild(path, site, nth);
+      TempDbPath("kill_" + site + "_" + std::to_string(nth));
+  const std::vector<int> acked = RunCrashChild(path, site.c_str(), nth);
   VerifyRecovered(path, acked);
   RemoveDb(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     FaultMatrix, RecoveryGauntletTest,
-    ::testing::Values(std::make_pair("wal_append", uint64_t{1}),
-                      std::make_pair("wal_append", uint64_t{7}),
-                      std::make_pair("wal_append", uint64_t{64}),
-                      std::make_pair("wal_fsync", uint64_t{1}),
-                      std::make_pair("wal_fsync", uint64_t{9}),
-                      std::make_pair("image_page_write", uint64_t{1}),
-                      std::make_pair("image_page_write", uint64_t{5}),
-                      std::make_pair("checkpoint", uint64_t{1})),
+    ::testing::Values(std::make_pair(std::string("wal_append"), uint64_t{1}),
+                      std::make_pair(std::string("wal_append"), uint64_t{7}),
+                      std::make_pair(std::string("wal_append"), uint64_t{64}),
+                      std::make_pair(std::string("wal_fsync"), uint64_t{1}),
+                      std::make_pair(std::string("wal_fsync"), uint64_t{9}),
+                      std::make_pair(std::string("image_page_write"),
+                                     uint64_t{1}),
+                      std::make_pair(std::string("image_page_write"),
+                                     uint64_t{5}),
+                      std::make_pair(std::string("checkpoint"), uint64_t{1})),
     [](const auto& info) {
-      return std::string(info.param.first) + "_n" +
-             std::to_string(info.param.second);
+      return info.param.first + "_n" + std::to_string(info.param.second);
     });
 
 TEST(RecoveryTest, KillDuringCloseRecoversFromWal) {
@@ -513,6 +522,134 @@ TEST(RecoveryTest, WalDisabledFallsBackToCheckpointDurability) {
     EXPECT_EQ(*count, 1u);
   }
   RemoveDb(path);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Crash model: copies the image (absent before the first checkpoint)
+/// and log of a still-open engine to `to`, as a kill -9 would leave them.
+void CopyAsIfCrashed(const std::string& from, const std::string& to) {
+  RemoveDb(to);
+  if (std::filesystem::exists(from)) {
+    std::filesystem::copy_file(from, to);
+  }
+  std::filesystem::copy_file(from + ".wal", to + ".wal");
+}
+
+TEST(RecoveryTest, FailedReplayLeavesImageAndLogUntouched) {
+  const std::string path = TempDbPath("failed_replay");
+  const std::string crashed = TempDbPath("failed_replay_crashed");
+  {
+    EngineOptions options;
+    options.db_path = path;
+    Engine engine(options);
+    ASSERT_TRUE(engine.StoreFactsExternal("r(1, 2, tag1).").ok());
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    ASSERT_TRUE(engine.StoreFactsExternal("r(3, 6, tag3). r(5, 10, tag5).")
+                    .ok());
+    CopyAsIfCrashed(path, crashed);
+  }
+  // A record no replay can apply, behind two that it can: the open
+  // redoes r(3) and r(5) and then stops with an error.
+  {
+    auto wal = storage::Wal::Open(crashed + ".wal");
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    ASSERT_TRUE((*wal)->Append(0x7f, "junk").ok());
+    ASSERT_TRUE((*wal)->SyncAll().ok());
+  }
+  const std::string image = ReadFileBytes(crashed);
+  const std::string log = ReadFileBytes(crashed + ".wal");
+  ASSERT_FALSE(image.empty());
+  ASSERT_FALSE(log.empty());
+  EngineOptions options;
+  options.db_path = crashed;
+  std::string error;
+  {
+    Engine engine(options);
+    ASSERT_FALSE(engine.open_status().ok());
+    error = engine.open_status().ToString();
+  }  // ~Engine closes: it must not save the partial store over the image.
+  EXPECT_TRUE(ReadFileBytes(crashed) == image) << "image rewritten";
+  EXPECT_TRUE(ReadFileBytes(crashed + ".wal") == log) << "log rewritten";
+  {
+    Engine engine(options);
+    EXPECT_EQ(engine.open_status().ToString(), error);
+    EXPECT_EQ(engine.Checkpoint().ToString(), error);
+    EXPECT_EQ(engine.Close().ToString(), error);
+  }
+  EXPECT_TRUE(ReadFileBytes(crashed) == image) << "image rewritten";
+  EXPECT_TRUE(ReadFileBytes(crashed + ".wal") == log) << "log rewritten";
+  RemoveDb(path);
+  RemoveDb(crashed);
+}
+
+TEST(RecoveryTest, OneCommitAndOneFsyncPerStoreCall) {
+  const std::string path = TempDbPath("commit_unit");
+  const std::string crashed = TempDbPath("commit_unit_crashed");
+  EngineOptions options;
+  options.db_path = path;
+  ASSERT_EQ(options.wal_sync, storage::Wal::SyncPolicy::kCommit);
+  Engine engine(options);
+  // Runs one acknowledging call and checks it committed exactly once,
+  // with exactly one fsync, however many records it appended.
+  auto once = [&](const char* what, const std::function<base::Status()>& call) {
+    auto counts = [&] {
+      const EngineStats stats = engine.Stats();
+      return std::make_pair(static_cast<uint64_t>(stats.wal.commits),
+                            static_cast<uint64_t>(stats.wal.fsyncs));
+    };
+    const auto before = counts();
+    const base::Status st = call();
+    ASSERT_TRUE(st.ok()) << what << ": " << st;
+    const auto after = counts();
+    EXPECT_EQ(after.first - before.first, 1u) << what << " commits";
+    EXPECT_EQ(after.second - before.second, 1u) << what << " fsyncs";
+  };
+  // After each call, a kill -9 copy must recover everything acked so far.
+  auto recovers = [&](const std::vector<std::pair<std::string, uint64_t>>&
+                          counts) {
+    CopyAsIfCrashed(path, crashed);
+    EngineOptions reopen;
+    reopen.db_path = crashed;
+    Engine recovered(reopen);
+    ASSERT_TRUE(recovered.open_status().ok()) << recovered.open_status();
+    for (const auto& [goal, want] : counts) {
+      auto got = recovered.CountSolutions(goal);
+      ASSERT_TRUE(got.ok()) << goal << ": " << got.status();
+      EXPECT_EQ(*got, want) << goal;
+    }
+  };
+
+  // 1,000 facts over two relations, each minting a fresh atom: two
+  // first-use declares, 1,000 dictionary entries and 1,000 rows.
+  std::string facts;
+  for (int i = 0; i < 500; ++i) {
+    const std::string n = std::to_string(i);
+    facts += "a(" + n + ", fa" + n + "). b(" + n + ", fb" + n + ").\n";
+  }
+  once("StoreFactsExternal", [&] { return engine.StoreFactsExternal(facts); });
+  recovers({{"a(I, T)", 500}, {"b(I, T)", 500}, {"a(7, fa7)", 1},
+            {"b(499, fb499)", 1}});
+
+  once("StoreRulesExternal", [&] {
+    return engine.StoreRulesExternal(
+        "pa(X) :- a(X, _).\n"
+        "pb(X) :- b(X, _).\n"
+        "both(X) :- pa(X), pb(X).\n");
+  });
+  recovers({{"a(I, T)", 500}, {"both(X)", 500}});
+
+  once("edb_assert", [&]() -> base::Status {
+    auto ok = engine.Succeeds("edb_assert(c(1, fresh_c))");
+    if (!ok.ok()) return ok.status();
+    return *ok ? base::Status::OK() : base::Status::Internal("failed");
+  });
+  recovers({{"a(I, T)", 500}, {"both(X)", 500}, {"c(1, fresh_c)", 1}});
+  RemoveDb(path);
+  RemoveDb(crashed);
 }
 
 TEST(RecoveryTest, StatsExposeWalWatermarks) {
