@@ -23,7 +23,7 @@
 //   $ printf 'p(1).\np(2).\n?- p(X).\n:halt\n' | ./examples/educe_shell
 //
 // With a path argument the session is persistent: an existing image at
-// the path is attached (catalog, facts, rules, warm code segment),
+// the path is attached (catalog, facts, rules),
 // checkpointed on :save and written back on :halt:
 //
 //   $ ./examples/educe_shell /tmp/my.edb
@@ -134,23 +134,16 @@ void PrintStats(educe::Engine* engine) {
       static_cast<unsigned long long>(s.code_cache.invalidations),
       static_cast<unsigned long long>(s.code_cache.entries),
       static_cast<unsigned long long>(s.code_cache.bytes_resident));
-  if (s.code_cache.warm_seeded != 0 || s.code_cache.warm_rejected != 0) {
-    std::printf("warm:    %llu entries seeded, %llu rejected\n",
-                static_cast<unsigned long long>(s.code_cache.warm_seeded),
-                static_cast<unsigned long long>(s.code_cache.warm_rejected));
-  }
   // The unified memory report: both in-memory consumers side by side.
   std::printf(
       "memory:  buffer pool %llu / %llu bytes resident, code cache %llu / "
       "%llu bytes, paged file %llu bytes\n"
-      "         warm segment %llu bytes, cache shard skew %llu max / %llu "
-      "min bytes\n",
+      "         cache shard skew %llu max / %llu min bytes\n",
       static_cast<unsigned long long>(s.memory.buffer_resident_bytes),
       static_cast<unsigned long long>(s.memory.buffer_capacity_bytes),
       static_cast<unsigned long long>(s.memory.code_cache_resident_bytes),
       static_cast<unsigned long long>(s.memory.code_cache_capacity_bytes),
       static_cast<unsigned long long>(s.memory.paged_file_bytes),
-      static_cast<unsigned long long>(s.memory.warm_segment_bytes),
       static_cast<unsigned long long>(s.memory.code_cache_shard_max_bytes),
       static_cast<unsigned long long>(s.memory.code_cache_shard_min_bytes));
   // Query-latency percentiles (nanoseconds) from the always-on histogram.
@@ -294,10 +287,7 @@ int main(int argc, char** argv) {
               ":halt\n");
   if (!options.db_path.empty()) {
     if (engine.attached()) {
-      const educe::EngineStats s = engine.Stats();
-      std::printf("attached %s (%llu warm entries seeded)\n",
-                  options.db_path.c_str(),
-                  static_cast<unsigned long long>(s.code_cache.warm_seeded));
+      std::printf("attached %s\n", options.db_path.c_str());
     } else {
       std::printf("fresh database at %s\n", options.db_path.c_str());
     }

@@ -87,8 +87,6 @@ TOLERANCES = [
     (r"governor", r"^adaptive_(decisions|rebalances)$", (0.50, 3)),
     (r"governor", r"^adaptive_final_(pool|cache)_bytes$", (0.25, 0)),
     (r"governor", r"pages_read|cache_misses", (0.50, 16)),
-    # Warm-start seeding counts shift by one entry when tiering changes.
-    (r"warmstart", r"^(warm_seeded|stale_rejected)$", (0.25, 1)),
 ]
 
 # Everything else numeric: 15% relative, +/-2 absolute.

@@ -6,7 +6,6 @@
 #   BENCH_codecache.json   bench_loader_cache  (in-session code cache)
 #   BENCH_wisconsin.json   bench_wisconsin     (relational queries, Table 2,
 #                                               plus WAM unbound scans)
-#   BENCH_warmstart.json   bench_warm_start    (cross-session warm segments)
 #   BENCH_parallel.json    bench_parallel      (worker sessions, shared EDB)
 #   BENCH_governor.json    bench_governor      (adaptive memory governor)
 #   BENCH_server.json      bench_server        (query server, 1000 clients)
@@ -19,10 +18,11 @@
 #                                               with WAL, online checkpoint,
 #                                               and crash-replay recovery)
 #
-# The benches abort loudly if an acceptance bar is missed (e.g. the warm
-# reopen not decoding >=5x fewer clauses than cold, or a 4-worker run on a
-# >=4-core host falling short of 3x aggregate throughput), so a green run
-# of this script doubles as a perf regression check.
+# The benches abort loudly if an acceptance bar is missed (e.g. the
+# pattern tier not decoding >=5x fewer clauses than per-call loads, or a
+# 4-worker run on a >=4-core host falling short of 3x aggregate
+# throughput), so a green run of this script doubles as a perf regression
+# check.
 #
 # Usage: scripts/run_benches.sh [output-dir]
 # Builds into $BUILD_DIR (default: build) if the binaries are missing.
@@ -35,7 +35,7 @@ OUT_DIR="${1:-.}"
 if [[ ! -x "$BUILD_DIR/bench/bench_governor" ]]; then
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j"$(nproc)" \
-    --target bench_loader_cache bench_wisconsin bench_warm_start \
+    --target bench_loader_cache bench_wisconsin \
     bench_parallel bench_governor bench_server bench_preunify bench_closure \
     bench_lock_overhead bench_mixed_rw
 fi
@@ -61,7 +61,6 @@ if [[ -f metrics.json ]]; then
   echo "--- wrote $OUT_DIR/metrics.json"
 fi
 run_bench bench_wisconsin BENCH_wisconsin.json
-run_bench bench_warm_start BENCH_warmstart.json
 run_bench bench_parallel BENCH_parallel.json
 run_bench bench_governor BENCH_governor.json
 run_bench bench_server BENCH_server.json

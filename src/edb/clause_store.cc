@@ -1091,8 +1091,8 @@ base::Status ClauseStore::ApplyWalRecord(uint8_t type,
       return base::Status::Corruption("unknown WAL record type " +
                                       std::to_string(type));
   }
-  // Bump the version so clause-cache entries warm-loaded from the image
-  // cannot serve pre-replay snapshots of this procedure.
+  // Bump the version and notify listeners as a live write does, so replay
+  // leaves the same version and listener state as the run that logged it.
   NotifyMutation(proc);
   return base::Status::OK();
 }

@@ -263,11 +263,10 @@ void CodeCache::CollectSymbols(std::set<dict::SymbolId>* out) const {
 
 void CodeCache::ForEachEntry(
     const std::function<void(const EntryView&)>& fn) const {
-  // Snapshot per shard, then merge into global LRU order (most recent
-  // first) by recency tick. The shared_ptr copies keep code alive even if
-  // a concurrent eviction drops an entry mid-visit.
+  // Snapshot per shard, then visit outside the shard locks. The shared_ptr
+  // copies keep code alive even if a concurrent eviction drops an entry
+  // mid-visit.
   struct Snapshot {
-    uint64_t last_used;
     uint64_t proc_hash;
     uint64_t version;
     std::vector<Key> keys;
@@ -277,14 +276,10 @@ void CodeCache::ForEachEntry(
   for (size_t s = 0; s < kShardCount; ++s) {
     std::lock_guard<obs::TrackedMutex> lock(shards_[s].mu);
     for (const Entry& entry : shards_[s].lru) {
-      entries.push_back(Snapshot{entry.last_used, entry.proc_hash,
-                                 entry.version, entry.keys, entry.code});
+      entries.push_back(
+          Snapshot{entry.proc_hash, entry.version, entry.keys, entry.code});
     }
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const Snapshot& a, const Snapshot& b) {
-              return a.last_used > b.last_used;
-            });
   for (const Snapshot& entry : entries) {
     fn(EntryView{entry.proc_hash, entry.version, entry.keys, *entry.code});
   }

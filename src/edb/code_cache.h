@@ -33,8 +33,6 @@ struct CodeCacheStats {
   base::RelaxedCounter pattern_misses;  // per-call loads that decode+link
   base::RelaxedCounter evictions;       // LRU capacity evictions
   base::RelaxedCounter invalidations;   // version-based removals (push/pull)
-  base::RelaxedCounter warm_seeded;     // entries restored from warm segment
-  base::RelaxedCounter warm_rejected;   // warm entries refused (stale)
   base::RelaxedCounter entries;         // gauge: resident entries
   base::RelaxedCounter bytes_resident;  // gauge: approx resident bytes
 };
@@ -143,21 +141,16 @@ class CodeCache {
   /// keys; the loader reports a single pattern miss when both fail.
   void NotePatternMiss() { ++stats_.pattern_misses; }
 
-  /// Warm-segment accounting (the segment loader calls these as it seeds
-  /// or refuses entries at session start).
-  void NoteWarmSeeded() { ++stats_.warm_seeded; }
-  void NoteWarmRejected() { ++stats_.warm_rejected; }
-
-  /// Read-only view of one resident entry, for warm-segment serialization.
+  /// Read-only view of one resident entry, for audits in tests and tools.
   struct EntryView {
     uint64_t proc_hash;
     uint64_t version;
     const std::vector<Key>& keys;
     const wam::LinkedCode& code;
   };
-  /// Visits every resident entry in LRU order (most recent first) without
-  /// touching recency or stats. Works from a snapshot, so entries inserted
-  /// or evicted concurrently may be missed or visited after removal (their
+  /// Visits every resident entry, shard by shard, without touching
+  /// recency or stats. Works from a snapshot, so entries inserted or
+  /// evicted concurrently may be missed or visited after removal (their
   /// code is kept alive by the snapshot's references).
   void ForEachEntry(const std::function<void(const EntryView&)>& fn) const;
 

@@ -53,9 +53,10 @@ class ExternalDictionary {
   std::string SerializeState() const;
 
   /// Identity stamp of this dictionary instance, minted at Create and
-  /// preserved across Open. The warm code segment records it; a segment
-  /// whose epoch differs was built against a *different* database and is
-  /// rejected wholesale (its hashes would resolve to the wrong names).
+  /// preserved across Open, and recorded in the image's superblock. Two
+  /// databases with equal schemas still differ in epoch, so anything
+  /// keyed by this dictionary's hashes can tell which database it
+  /// belongs to.
   uint64_t epoch() const { return epoch_; }
 
   /// Ensures an entry for (name, arity) exists; returns its persisted

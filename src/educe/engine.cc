@@ -11,7 +11,6 @@
 #include "base/stopwatch.h"
 
 #include "base/hash.h"
-#include "edb/warm_segment.h"
 #include "reader/writer.h"
 #include "storage/segment.h"
 #include "wam/builtins.h"
@@ -23,9 +22,14 @@ namespace {
 
 // "EDUCESB1" little-endian: the superblock magic on page 0 of a database
 // image. Layout (52 bytes): magic u64, version u32, page_size u32,
-// epoch u64, external_root u32, catalog_root u32, warm_root u32,
+// epoch u64, external_root u32, catalog_root u32, reserved u32,
 // wal_lsn u64 (highest WAL LSN absorbed by this image; v2),
 // checksum u64 (FNV-1a over the preceding 44 bytes).
+//
+// The reserved slot at offset 32 once held the root of a cached-code
+// segment. WriteImage stores kInvalidPage there and ReadBoot ignores it,
+// so an older image that still names such a segment opens unchanged; its
+// pages are dead, like every superseded segment.
 //
 // Version 1 (pre-WAL) images lacked the wal_lsn field: 44 bytes total,
 // checksum over the preceding 36. ReadBoot still accepts them with
@@ -142,14 +146,13 @@ Engine::BootState Engine::ReadBoot(storage::BufferPool* pool,
   }
   const char* d = page.value().data();
   uint64_t magic, epoch, wal_lsn, checksum;
-  uint32_t version, page_size, external_root, catalog_root, warm_root;
+  uint32_t version, page_size, external_root, catalog_root;
   std::memcpy(&magic, d, 8);
   std::memcpy(&version, d + 8, 4);
   std::memcpy(&page_size, d + 12, 4);
   std::memcpy(&epoch, d + 16, 8);
   std::memcpy(&external_root, d + 24, 4);
   std::memcpy(&catalog_root, d + 28, 4);
-  std::memcpy(&warm_root, d + 32, 4);
   if (magic != kSuperMagic ||
       (version != kSuperVersion && version != kSuperVersionV1)) {
     return reject(base::Status::Corruption("bad superblock"));
@@ -177,18 +180,7 @@ Engine::BootState Engine::ReadBoot(storage::BufferPool* pool,
   if (!catalog.ok()) return reject(catalog.status());
   boot.external_state = std::move(external.value());
   boot.catalog_state = std::move(catalog.value());
-  boot.warm_root = warm_root;
   boot.wal_lsn = wal_lsn;
-  if (warm_root != storage::kInvalidPage) {
-    auto warm = storage::ReadSegment(pool, warm_root);
-    if (warm.ok()) {
-      boot.warm_bytes = std::move(warm.value());
-    } else {
-      // A damaged warm segment only costs warmth, never the database.
-      boot.warm_root = storage::kInvalidPage;
-      if (boot.status.ok()) boot.status = warm.status();
-    }
-  }
   boot.attached = true;
   return boot;
 }
@@ -245,7 +237,6 @@ Engine::Engine(EngineOptions options)
         &loader_, GovernedEntryCap(options_), &tracer_);
   }
   SyncOptions();
-  warm_segment_bytes_ = boot_.warm_bytes.size();
 
   if (boot_.attached) {
     base::Status restored = clause_store_.RestoreCatalog(boot_.catalog_state);
@@ -253,13 +244,6 @@ Engine::Engine(EngineOptions options)
       boot_.attached = false;
       boot_.recovery = restored;
       if (boot_.status.ok()) boot_.status = restored;
-    } else if (options_.load_warm_segment && !boot_.warm_bytes.empty()) {
-      auto warm = edb::LoadWarmSegment(
-          boot_.warm_bytes, loader_.cache(), &dictionary_,
-          &external_dictionary_, *program_.builtins(), &clause_store_,
-          external_dictionary_.epoch());
-      // A damaged warm segment means a cold start, nothing worse.
-      if (!warm.ok() && boot_.status.ok()) boot_.status = warm.status();
     }
   }
 
@@ -273,7 +257,8 @@ Engine::Engine(EngineOptions options)
     wal_options.sync = options_.wal_sync;
     auto opened = storage::Wal::Open(WalPathFor(options_), wal_options);
     if (!opened.ok()) {
-      // Run non-durable rather than not at all; surfaced via open_status.
+      // The log may hold acknowledged writes this session cannot see:
+      // refuse work until it opens (open_status()).
       if (boot_.recovery.ok()) boot_.recovery = opened.status();
       if (boot_.status.ok()) boot_.status = opened.status();
     } else {
@@ -344,19 +329,6 @@ base::Status Engine::WriteImage() {
   // already durable, so sync it before freezing the store.
   if (wal_ != nullptr) EDUCE_RETURN_IF_ERROR(wal_->SyncAll());
   auto body = [&]() -> base::Status {
-    // Warm segment first: serializing Ensure()s operand symbols into the
-    // external dictionary, whose state is captured afterwards.
-    storage::PageId warm_root = boot_.warm_root;  // carried when not saving
-    if (options_.save_warm_segment) {
-      EDUCE_ASSIGN_OR_RETURN(
-          std::string warm,
-          edb::SerializeWarmSegment(*loader_.cache(), dictionary_,
-                                    &external_dictionary_,
-                                    *program_.builtins(),
-                                    external_dictionary_.epoch()));
-      EDUCE_ASSIGN_OR_RETURN(warm_root, storage::WriteSegment(&pool_, warm));
-      warm_segment_bytes_ = warm.size();
-    }
     EDUCE_ASSIGN_OR_RETURN(
         storage::PageId external_root,
         storage::WriteSegment(&pool_, external_dictionary_.SerializeState()));
@@ -378,7 +350,8 @@ base::Status Engine::WriteImage() {
     std::memcpy(d + 16, &epoch, 8);
     std::memcpy(d + 24, &external_root, 4);
     std::memcpy(d + 28, &catalog_root, 4);
-    std::memcpy(d + 32, &warm_root, 4);
+    const storage::PageId reserved = storage::kInvalidPage;
+    std::memcpy(d + 32, &reserved, 4);
     const uint64_t wal_lsn = wal_ != nullptr ? wal_->last_lsn() : 0;
     std::memcpy(d + kSuperWalLsnOffset, &wal_lsn, 8);
     const uint64_t checksum =
@@ -393,7 +366,6 @@ base::Status Engine::WriteImage() {
     // records be dropped. Still inside the blocked scope: a mutation
     // sneaking in between SaveImage and Reset would be truncated away.
     if (wal_ != nullptr) EDUCE_RETURN_IF_ERROR(wal_->Reset());
-    boot_.warm_root = warm_root;
     return base::Status::OK();
   };
   // Always fenced: even WAL-less, a concurrent edb_assert from a live
@@ -583,6 +555,8 @@ void Engine::SetProfiling(bool on) {
 }
 
 base::Status Engine::Consult(std::string_view source) {
+  // A directive may write the EDB (edb_assert/1).
+  EDUCE_RETURN_IF_ERROR(boot_.recovery);
   // Consult mutates the base program worker sessions overlay.
   EDUCE_RETURN_IF_ERROR(RefuseIfSessionsActive("Consult"));
   EDUCE_ASSIGN_OR_RETURN(std::vector<reader::ReadTerm> clauses,
@@ -622,6 +596,7 @@ base::Status Engine::ConsultFile(const std::string& path) {
 
 base::Status Engine::DeclareRelation(std::string_view name, uint32_t arity,
                                      std::vector<uint32_t> key_attrs) {
+  EDUCE_RETURN_IF_ERROR(boot_.recovery);
   return clause_store_.CommitAfter([&] {
     return clause_store_
         .Declare(name, arity, edb::ProcedureMode::kFacts, std::move(key_attrs))
@@ -630,6 +605,9 @@ base::Status Engine::DeclareRelation(std::string_view name, uint32_t arity,
 }
 
 base::Status Engine::StoreFactsExternal(std::string_view source) {
+  // After a failed recovery a write would land behind the record replay
+  // stopped at, where no later replay reaches it (open_status()).
+  EDUCE_RETURN_IF_ERROR(boot_.recovery);
   EDUCE_ASSIGN_OR_RETURN(std::vector<reader::ReadTerm> facts,
                          reader::ParseProgram(&dictionary_, source));
   // The whole call is one commit (DESIGN.md §17.1).
@@ -658,6 +636,7 @@ base::Status Engine::StoreFactsExternal(std::string_view source) {
 }
 
 base::Status Engine::StoreRulesExternal(std::string_view source) {
+  EDUCE_RETURN_IF_ERROR(boot_.recovery);
   EDUCE_ASSIGN_OR_RETURN(std::vector<reader::ReadTerm> clauses,
                          reader::ParseProgram(&dictionary_, source));
   const edb::ProcedureMode mode = options_.rule_storage == RuleStorage::kCompiled
@@ -724,6 +703,9 @@ base::Status Engine::StoreRulesExternal(std::string_view source) {
 
 base::Result<std::unique_ptr<Solutions>> Engine::Query(std::string_view goal,
                                                        uint64_t trace_id) {
+  // After a failed recovery the store is a truncated copy of what was
+  // acknowledged: refuse rather than answer from it (open_status()).
+  EDUCE_RETURN_IF_ERROR(boot_.recovery);
   // StartQuery installs $query scaffolding into the base program, which
   // worker sessions read lock-free; route queries through a Session
   // while any are open.
@@ -852,9 +834,9 @@ Session::Session(Engine* engine, uint64_t serial)
     : engine_(engine),
       overlay_(&engine->dictionary_, &engine->program_),
       resolver_(&engine->clause_store_, &engine->loader_, &overlay_) {
-  // Disjoint $aux/$query name ranges per session: an overlay must never
-  // shadow an auxiliary procedure generated (and still called) by the
-  // base program or a sibling session.
+  // Disjoint $aux name ranges per session: an overlay must never shadow
+  // an auxiliary procedure generated (and still called) by the base
+  // program or a sibling session.
   overlay_.SeedAuxCounter(serial << 32);
   resolver_.options() = engine->resolver_.options();
   machine_ = std::make_unique<wam::Machine>(&overlay_, engine->options_.machine);
@@ -930,6 +912,7 @@ base::Result<uint64_t> Session::CountSolutions(std::string_view goal) {
 }
 
 base::Result<std::unique_ptr<Session>> Engine::OpenSession() {
+  EDUCE_RETURN_IF_ERROR(boot_.recovery);
   std::lock_guard<obs::TrackedMutex> lock(sessions_mu_);
   if (active_sessions_ == 0) {
     // Freeze the base: with every procedure pre-linked, overlay sessions
@@ -1051,7 +1034,6 @@ EngineStats Engine::Stats() {
   stats.memory.code_cache_capacity_bytes = loader_.cache()->limits().max_bytes;
   stats.memory.paged_file_bytes =
       static_cast<uint64_t>(file_.page_count()) * file_.page_size();
-  stats.memory.warm_segment_bytes = warm_segment_bytes_;
   const edb::CodeCache::ShardOccupancy occupancy =
       loader_.cache()->MeasureShardOccupancy();
   stats.memory.code_cache_shard_max_bytes = occupancy.max_bytes;
@@ -1328,7 +1310,6 @@ std::string Engine::ExportMetricsJson() {
   out += ",\"code_cache_shard_min_bytes\":" +
          num(stats.memory.code_cache_shard_min_bytes);
   out += ",\"paged_file_bytes\":" + num(stats.memory.paged_file_bytes);
-  out += ",\"warm_segment_bytes\":" + num(stats.memory.warm_segment_bytes);
   out += ",\"wal_file_bytes\":" + num(stats.memory.wal_file_bytes);
   out += "}";
   out += ",\"wal\":{";

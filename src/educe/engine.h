@@ -58,15 +58,11 @@ struct EngineOptions {
   /// Path of the on-disk database image. Empty (the default) keeps the
   /// whole EDB in memory for the session, as before. Non-empty: an
   /// existing image at the path is attached at construction (superblock,
-  /// external dictionary, procedure catalog, and — unless disabled below —
-  /// the warm code segment); Close() writes everything back. A missing or
-  /// rejected image simply starts a fresh database at the same path.
+  /// external dictionary and procedure catalog); Close() writes everything
+  /// back. A missing or rejected image simply starts a fresh database at
+  /// the same path. Compiled code is decoded and linked per session from
+  /// the stored relative code, as in the paper (§3.1).
   std::string db_path;
-  /// Write the warm code segment (resident code-cache entries in
-  /// relocatable form) at Close() so the next session starts warm.
-  bool save_warm_segment = true;
-  /// Seed the code cache from the attached image's warm segment.
-  bool load_warm_segment = true;
   /// Write-ahead logging (DESIGN.md §17). With a db_path set, every EDB
   /// mutation appends a redo record to `<db_path>.wal` before it lands,
   /// and opening the engine replays whatever the last image missed — a
@@ -307,9 +303,6 @@ struct EngineMemoryReport {
   uint64_t code_cache_resident_bytes = 0;
   uint64_t code_cache_capacity_bytes = 0;
   uint64_t paged_file_bytes = 0;  // page_count * page_size
-  /// Size of the warm code segment: the bytes loaded at attach, replaced
-  /// by the bytes written at the last Close().
-  uint64_t warm_segment_bytes = 0;
   /// Code-cache 16-shard occupancy skew (max/min resident bytes per
   /// shard): a handful of hot procedures can pile into one shard while
   /// the global gauge looks healthy.
@@ -439,21 +432,18 @@ class Engine {
 
   /// --- persistence ---------------------------------------------------------
 
-  /// Clean shutdown: with a db_path set, writes the warm code segment
-  /// (resident code-cache entries in relocatable form, unless
-  /// save_warm_segment is off), the external dictionary, the procedure
-  /// catalog, and the superblock, flushes the pool, and saves the paged
-  /// file to disk. Idempotent; a no-op without a db_path. After Close()
+  /// Clean shutdown: with a db_path set, writes the external dictionary,
+  /// the procedure catalog and the superblock, flushes the pool, and saves
+  /// the paged file to disk. Idempotent; a no-op without a db_path. After Close()
   /// the engine remains usable but further mutations are not persisted
   /// until the next Close(). If recovery failed at open (catalog restore,
   /// log open or replay), returns that error and writes nothing: saving
   /// the partial state would make the loss permanent.
   base::Status Close();
 
-  /// Mid-session checkpoint: writes the same image Close() writes (warm
-  /// code segment included) without ending the persistence session —
-  /// mutations after it are covered by the WAL until the next
-  /// Checkpoint()/Close(). Online: worker sessions keep running queries
+  /// Mid-session checkpoint: writes the same image Close() writes without
+  /// ending the persistence session — mutations after it are covered by
+  /// the WAL until the next Checkpoint()/Close(). Online: worker sessions keep running queries
   /// throughout — the store's latches are all taken *shared*
   /// (WithMutationsBlocked), so only mutators stall for the image write.
   /// FailedPrecondition without a db_path; refused like Close() after a
@@ -464,9 +454,13 @@ class Engine {
   bool attached() const { return boot_.attached; }
 
   /// Non-OK when something persisted was present but rejected (corrupt
-  /// image, stale superblock, damaged warm segment): the session started
-  /// cold instead — or when recovery failed, which also freezes the
-  /// on-disk files (see Close()). Never fatal.
+  /// image, stale superblock): the session started cold and serves as
+  /// usual — or when recovery failed (catalog restore, log open or
+  /// replay). A failed recovery freezes the on-disk files (see Close())
+  /// and makes Query, OpenSession and the EDB writers (DeclareRelation,
+  /// StoreFactsExternal, StoreRulesExternal) return that same status, so
+  /// nothing is served from, or appended behind, a store this session
+  /// could not rebuild.
   const base::Status& open_status() const { return boot_.status; }
 
   /// --- buffer / stats ------------------------------------------------------
@@ -573,8 +567,6 @@ class Engine {
     base::Status status;    // first thing that went wrong, if any
     std::string external_state;
     std::string catalog_state;
-    std::string warm_bytes;
-    storage::PageId warm_root = storage::kInvalidPage;
     /// Highest WAL LSN the image absorbed (superblock field); recovery
     /// replays only records above it. 0 on a fresh database, so a crash
     /// before the first checkpoint replays the whole log.
@@ -622,8 +614,8 @@ class Engine {
   /// Folds a retiring session's latency histogram into the engine's.
   void MergeSessionLatency(const obs::Histogram& latency);
 
-  /// The shared body of Close() and Checkpoint(): serializes the warm
-  /// segment, dictionary and catalog, writes the superblock, flushes the
+  /// The shared body of Close() and Checkpoint(): serializes the
+  /// external dictionary and catalog, writes the superblock, flushes the
   /// pool and saves the image. Callers hold the no-active-sessions guard.
   base::Status WriteImage();
 
@@ -671,7 +663,6 @@ class Engine {
   /// calling into other subsystems).
   obs::Tracer tracer_;
   std::ostream* metrics_log_ = nullptr;  // nullptr -> std::cerr
-  uint64_t warm_segment_bytes_ = 0;
   mutable obs::TrackedMutex obs_mu_{EDUCE_LOCK_SITE("engine.obs")};
   obs::Histogram query_latency_;
   std::deque<obs::QueryProfile> recent_profiles_;  // bounded ring

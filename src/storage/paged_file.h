@@ -86,8 +86,8 @@ class PagedFile {
   /// --- image persistence ---------------------------------------------------
   /// The "disc" can be checkpointed to a real OS file and reloaded in a
   /// later process — the substrate for everything cross-session (the
-  /// BANG/heap relations, the external dictionary and the warm code
-  /// segment all live in these page images).
+  /// BANG/heap relations, the external dictionary and the catalog all
+  /// live in these page images).
 
   /// Writes all page images to `path` (atomic: a temp file is fsynced,
   /// then renamed into place), with a header and a whole-file checksum.

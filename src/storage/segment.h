@@ -12,8 +12,7 @@ namespace educe::storage {
 
 /// Byte-blob segments stored as page chains inside a PagedFile — the
 /// container for metadata that must survive the process: the clause-store
-/// catalog, the external dictionary's reopen state and the warm code
-/// segment. A segment is written once (fresh pages each time) and read
+/// catalog and the external dictionary's reopen state. A segment is written once (fresh pages each time) and read
 /// whole; the first page carries the total length and an FNV-1a checksum
 /// so a truncated or corrupted chain is detected and reported as
 /// Corruption instead of yielding garbage bytes.

@@ -385,8 +385,13 @@ base::Status Machine::StartQuery(const term::AstPtr& goal,
     (void)program_->EraseProcedure(query_functor_);
   }
 
+  // One `$query` functor per arity, shared by every machine, so queries
+  // do not grow the dictionary. Erase it first: on an overlay the frozen
+  // base may hold the engine's last query under the same functor, and the
+  // erase shadows that with an empty local procedure.
   EDUCE_ASSIGN_OR_RETURN(query_functor_,
-                         program_->FreshFunctor("$query", num_vars));
+                         program_->dictionary()->Intern("$query", num_vars));
+  (void)program_->EraseProcedure(query_functor_);
   std::vector<term::AstPtr> head_args;
   for (uint32_t i = 0; i < num_vars; ++i) {
     head_args.push_back(term::MakeVar(i, ""));

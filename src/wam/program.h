@@ -82,7 +82,7 @@ class BuiltinTable {
 /// clauses is produced (the Ablation C baseline). With `fuse` true the
 /// link-time superinstruction pass (FuseSuperinstructions, DESIGN.md §14)
 /// runs over the finished code so fused opcodes flow into the code cache
-/// and warm segments transparently.
+/// transparently.
 std::shared_ptr<const LinkedCode> LinkProcedure(
     dict::SymbolId functor, uint32_t arity,
     const std::vector<std::shared_ptr<const ClauseCode>>& clauses,
@@ -122,8 +122,8 @@ struct ProgramStats {
 /// The owner must freeze the base (LinkAll(), then no further mutation)
 /// while any overlay is live; each overlay is then single-threaded and
 /// needs no locking of its own. Seed each overlay's aux counter with a
-/// disjoint range (SeedAuxCounter) so `$aux`/`$query` functor names never
-/// collide across sessions — a collision would let one session's overlay
+/// disjoint range (SeedAuxCounter) so `$aux` functor names never collide
+/// across sessions — a collision would let one session's overlay
 /// shadow an auxiliary procedure that base code still calls.
 class Program {
  public:
@@ -211,11 +211,11 @@ class Program {
   void SetFusionEnabled(bool enabled);
   bool fusion_enabled() const { return fusion_enabled_; }
 
-  /// Interns and returns a fresh auxiliary/query functor id.
+  /// Interns and returns a fresh auxiliary functor id.
   base::Result<dict::SymbolId> FreshFunctor(std::string_view prefix,
                                             uint32_t arity);
 
-  /// Starts the aux/query counter at `start`. Overlay sessions get
+  /// Starts the aux counter at `start`. Overlay sessions get
   /// disjoint ranges (e.g. session serial << 32) so generated functor
   /// names are globally unique across concurrent sessions.
   void SeedAuxCounter(uint64_t start) { aux_counter_ = start; }

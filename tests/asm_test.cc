@@ -2,13 +2,11 @@
 // parsing it reconstructs the LinkedCode field-for-field and reprinting
 // reproduces the text byte-for-byte (fixpoint). Exercised over every
 // procedure the compiler+linker emit for a varied corpus (fusion on and
-// off), over warm-segment-reloaded code, and against a battery of
-// malformed inputs the parser must reject.
+// off), over the EDB code cache's decoded-and-linked entries, and against
+// a battery of malformed inputs the parser must reject.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -144,51 +142,33 @@ TEST(AsmTest, FusedMnemonicsAppearInCorpusDisassembly) {
   EXPECT_NE(all.find("fused_get_list_unify_variable_x"), std::string::npos);
 }
 
-TEST(AsmTest, RoundTripsWarmSegmentCode) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "educe_asm_warm.edb").string();
-  std::remove(path.c_str());
-  std::remove((path + ".wal").c_str());
+TEST(AsmTest, RoundTripsCodeCacheEntries) {
+  Engine engine;
+  ASSERT_TRUE(engine.StoreFactsExternal("edge(a, b). edge(b, c). "
+                                        "edge(c, d). edge(a, d).")
+                  .ok());
+  ASSERT_TRUE(engine
+                  .StoreRulesExternal(
+                      "reach(X, Y) :- edge(X, Y).\n"
+                      "reach(X, Z) :- edge(X, Y), reach(Y, Z).")
+                  .ok());
+  auto count = engine.CountSolutions("reach(a, X)");
+  ASSERT_TRUE(count.ok());
+  // Code-cache entries are decoded, linked and fused from stored relative
+  // code; they must round-trip like code linked from a Program. Builtin
+  // ids print as raw #id/arity here — still exact.
   uint64_t checked = 0;
-  {
-    EngineOptions options;
-    options.db_path = path;
-    Engine engine(options);
-    ASSERT_TRUE(engine.StoreFactsExternal("edge(a, b). edge(b, c). "
-                                          "edge(c, d). edge(a, d).")
-                    .ok());
-    ASSERT_TRUE(engine
-                    .StoreRulesExternal(
-                        "reach(X, Y) :- edge(X, Y).\n"
-                        "reach(X, Z) :- edge(X, Y), reach(Y, Z).")
-                    .ok());
-    auto count = engine.CountSolutions("reach(a, X)");
-    ASSERT_TRUE(count.ok());
-    ASSERT_TRUE(engine.Close().ok());
-  }
-  {
-    EngineOptions options;
-    options.db_path = path;
-    Engine engine(options);
-    ASSERT_TRUE(engine.attached());
-    ASSERT_GT(engine.Stats().code_cache.warm_seeded, 0u);
-    // Warm-segment-reloaded entries are post-fusion linked code; they
-    // must round-trip like freshly linked code. Builtin ids print as
-    // raw #id/arity here — still exact.
-    engine.loader()->cache()->ForEachEntry(
-        [&](const edb::CodeCache::EntryView& entry) {
-          const std::string text =
-              DisassembleLinked(*engine.dictionary(), entry.code);
-          auto parsed = ParseAsm(engine.dictionary(), text);
-          ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
-          ExpectSameLinked(entry.code, **parsed);
-          EXPECT_EQ(text,
-                    DisassembleLinked(*engine.dictionary(), **parsed));
-          ++checked;
-        });
-  }
+  engine.loader()->cache()->ForEachEntry(
+      [&](const edb::CodeCache::EntryView& entry) {
+        const std::string text =
+            DisassembleLinked(*engine.dictionary(), entry.code);
+        auto parsed = ParseAsm(engine.dictionary(), text);
+        ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+        ExpectSameLinked(entry.code, **parsed);
+        EXPECT_EQ(text, DisassembleLinked(*engine.dictionary(), **parsed));
+        ++checked;
+      });
   EXPECT_GT(checked, 0u);
-  std::remove(path.c_str());
 }
 
 TEST(AsmTest, ParsedCodeExecutes) {

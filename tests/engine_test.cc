@@ -380,6 +380,9 @@ TEST(EngineTest, DictionaryGarbageCollection) {
     ASSERT_TRUE(ok.ok());
   }
   EXPECT_GT(engine.dictionary()->size(), baseline + 40);
+  // The machine keeps the last query's clause until the next query, and
+  // that clause names transient_atom_49: retire it so all 50 are dead.
+  ASSERT_TRUE(engine.Succeeds("true").ok());
 
   auto removed = engine.CollectDictionary();
   ASSERT_TRUE(removed.ok()) << removed.status();
@@ -392,6 +395,45 @@ TEST(EngineTest, DictionaryGarbageCollection) {
   auto again = engine.Succeeds("append([1], [2], [1, 2])");
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(*again);
+}
+
+TEST(EngineTest, QueriesDoNotGrowTheDictionary) {
+  // Each query installs a `$query` procedure; its functor must be reused,
+  // not minted per query, or a long-running server's dictionary grows by
+  // one entry per request with nothing to collect it.
+  constexpr int kQueries = 20000;
+  Engine engine;
+  ASSERT_TRUE(engine.Consult("p(1). p(2). q(a, b).").ok());
+  // Two goal shapes (one and two variables), so queries alternate between
+  // `$query` arities; the size is taken once each shape has run. Counting
+  // solutions also checks that a reused functor never carries an earlier
+  // query's clause along (a session's overlay over the engine's own).
+  auto goal = [](int i) { return i % 2 == 0 ? "p(X)" : "q(X, Y)"; };
+  auto answers = [](int i) { return i % 2 == 0 ? 2u : 1u; };
+  auto count = [](auto* on, const char* goal) -> uint64_t {
+    auto n = on->CountSolutions(goal);
+    return n.ok() ? *n : 0;
+  };
+  ASSERT_EQ(count(&engine, goal(0)), answers(0));
+  ASSERT_EQ(count(&engine, goal(1)), answers(1));
+  const size_t after_first = engine.dictionary()->size();
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_EQ(count(&engine, goal(i)), answers(i)) << i;
+  }
+  EXPECT_EQ(engine.dictionary()->size(), after_first)
+      << "Engine::Query leaks dictionary entries";
+
+  auto session = engine.OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status();
+  Session* s = session->get();
+  ASSERT_EQ(count(s, goal(1)), answers(1));
+  ASSERT_EQ(count(s, goal(0)), answers(0));
+  const size_t after_session_first = engine.dictionary()->size();
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_EQ(count(s, goal(i)), answers(i)) << i;
+  }
+  EXPECT_EQ(engine.dictionary()->size(), after_session_first)
+      << "Session::Query leaks dictionary entries";
 }
 
 TEST(EngineTest, StoredRelativeCodeSurvivesDictionaryGc) {

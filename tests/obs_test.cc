@@ -305,7 +305,7 @@ TEST(MetricsExportTest, DocumentCarriesEverySection) {
         "\"choice_points_created\"", "\"choice_points_eliminated\"",
         "\"decode_ns\"", "\"link_ns\"", "\"resolve_ns\"",
         "\"op_class_totals\"", "\"per_procedure\"", "\"spans\"",
-        "\"memory\"", "\"warm_segment_bytes\"",
+        "\"memory\"", "\"paged_file_bytes\"",
         "\"code_cache_shard_max_bytes\"", "\"recent_queries\"",
         "\"execute_ns\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing";

@@ -151,7 +151,8 @@ TEST(ParallelTest, SessionOverlayAssertIsIsolated) {
 
 TEST(ParallelTest, QueryScaffoldingIsolatedAcrossSessions) {
   // Disjunctions compile auxiliary predicates; with per-session aux-name
-  // ranges the overlays must never shadow each other's $aux/$query procs.
+  // ranges the overlays must never shadow each other's $aux procs, and
+  // each overlay's $query proc shadows the base's and its siblings'.
   Engine engine;
   ASSERT_TRUE(engine.Consult("p(1). p(2). p(3). q(4). q(5).").ok());
   constexpr int kThreads = 4;

@@ -577,6 +577,22 @@ TEST(RecoveryTest, FailedReplayLeavesImageAndLogUntouched) {
   {
     Engine engine(options);
     EXPECT_EQ(engine.open_status().ToString(), error);
+    // The store is a truncated copy of what was acknowledged: reads would
+    // answer from it, and writes would land behind the record replay
+    // stopped at, where no later replay reaches them. All are refused.
+    auto query = engine.Query("r(I, X, T)");
+    EXPECT_EQ(query.status().ToString(), error);
+    EXPECT_EQ(engine.Succeeds("r(1, 2, tag1)").status().ToString(), error);
+    EXPECT_EQ(engine.CountSolutions("r(I, X, T)").status().ToString(),
+              error);
+    EXPECT_EQ(engine.OpenSession().status().ToString(), error);
+    EXPECT_EQ(engine.DeclareRelation("s", 1).ToString(), error);
+    EXPECT_EQ(engine.StoreFactsExternal("r(7, 14, tag7).").ToString(),
+              error);
+    EXPECT_EQ(engine.StoreRulesExternal("t(X) :- r(X, _, _).").ToString(),
+              error);
+    EXPECT_EQ(engine.Consult(":- edb_assert(r(9, 18, tag9)).").ToString(),
+              error);
     EXPECT_EQ(engine.Checkpoint().ToString(), error);
     EXPECT_EQ(engine.Close().ToString(), error);
   }
