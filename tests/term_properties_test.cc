@@ -189,6 +189,13 @@ struct ArithCase {
   const char* expected;  // rendered result
 };
 
+// Print the case as text: gtest would otherwise print the two pointers'
+// bytes, and ctest names each case after that print, so the names would
+// change with every process.
+void PrintTo(const ArithCase& c, std::ostream* os) {
+  *os << c.expr << " => " << c.expected;
+}
+
 class ArithmeticTableTest : public ::testing::TestWithParam<ArithCase> {};
 
 TEST_P(ArithmeticTableTest, Evaluates) {
