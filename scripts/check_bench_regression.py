@@ -38,13 +38,15 @@ import re
 import sys
 from pathlib import Path
 
-# Wall-clock and machine-shape metrics: never guarded.
+# Wall-clock and machine-shape metrics: never guarded. Time ratios
+# (speedups, overheads, `a_vs_b`) count as wall clock.
 SKIP_PATTERNS = [
     r"_ms$",
     r"_ns$",
     r"_s$",
     r"speedup",
     r"overhead",
+    r"_vs_",
     r"^cores$",
     r"^host_cores$",
 ]

@@ -99,8 +99,14 @@ base::Result<wam::ExternalResolver::Resolution> EdbResolver::ResolveSource(
       store_->FetchRules(proc, /*pattern=*/nullptr, /*preunify=*/false));
 
   dict::Dictionary* dict = program_->dictionary();
+  // One `$src_<name>` functor per stored procedure, reused by every load
+  // (as StartQuery reuses `$query`), so loads do not grow the dictionary.
+  // Erase first: a load that failed midway may have left clauses under
+  // it, and on an overlay the erase shadows whatever the frozen base
+  // holds under the same functor.
   EDUCE_ASSIGN_OR_RETURN(dict::SymbolId transient,
-                         program_->FreshFunctor("$src_" + proc->name, arity));
+                         dict->Intern("$src_" + proc->name, arity));
+  (void)program_->EraseProcedure(transient);
   EDUCE_ASSIGN_OR_RETURN(dict::SymbolId neck, dict->Intern(":-", 2));
 
   for (const std::string& text : sources) {

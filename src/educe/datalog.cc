@@ -72,6 +72,15 @@ struct DatalogManager::Plan {
   uint64_t epoch = 0;  // catalog epoch at compile start
 };
 
+/// One EDB relation's encoded rows, read at `version` of `proc`. Never
+/// mutated once published, so evaluations read it without mu_.
+struct DatalogManager::EdbRows {
+  const edb::ProcedureInfo* proc = nullptr;
+  uint64_t version = 0;
+  uint64_t count = 0;
+  std::vector<int64_t> rows;  // `count` rows of the relation's arity
+};
+
 DatalogManager::DatalogManager(dict::Dictionary* dictionary,
                                edb::ClauseStore* store, wam::Program* program,
                                obs::Tracer* tracer)
@@ -97,6 +106,7 @@ DatalogManager::~DatalogManager() {
 void DatalogManager::InvalidateDependents(const PredKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   ++epoch_;
+  edb_cache_.erase(key);
   for (auto it = plans_.begin(); it != plans_.end();) {
     if (it->second->deps.count(key) > 0) {
       it = plans_.erase(it);
@@ -138,6 +148,69 @@ DatalogStrategy DatalogManager::GetStrategy(std::string_view name,
 DatalogStats DatalogManager::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+uint64_t DatalogManager::EdbCacheBytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t bytes = 0;
+  for (const auto& [key, entry] : edb_cache_) {
+    bytes += entry->rows.capacity() * sizeof(int64_t);
+  }
+  return bytes;
+}
+
+void DatalogManager::ClearEdbCache() {
+  std::lock_guard<std::mutex> lock(mu_);
+  edb_cache_.clear();
+}
+
+base::Status DatalogManager::LoadEdb(
+    const PredKey& key, uint32_t width,
+    const rdl::Evaluator::EmitFn& emit, uint64_t* rows_read) {
+  edb::ProcedureInfo* proc = store_->Find(key.first, key.second);
+  if (proc == nullptr) {
+    return base::Status::Unsupported("datalog: relation dropped");
+  }
+  std::shared_ptr<const EdbRows> entry;
+  {
+    // The version may move right after this read; the entry is then
+    // still the relation as of a moment before that mutation.
+    const uint64_t version = proc->version.load();
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = edb_cache_.find(key);
+    if (it != edb_cache_.end() && it->second->proc == proc &&
+        it->second->version == version) {
+      entry = it->second;
+    }
+  }
+  if (entry == nullptr) {
+    auto fresh = std::make_shared<EdbRows>();
+    fresh->proc = proc;
+    EDUCE_ASSIGN_OR_RETURN(
+        fresh->version,
+        store_->ScanAllFacts(proc, [&](const term::Ast& fact)
+                                       -> base::Status {
+          for (uint32_t i = 0; i < width; ++i) {
+            EDUCE_ASSIGN_OR_RETURN(rdl::Term t, EncodeArg(*fact.args[i]));
+            if (t.is_var) {
+              return base::Status::Unsupported("datalog: non-ground EDB fact");
+            }
+            fresh->rows.push_back(t.value);
+          }
+          ++fresh->count;
+          return base::Status::OK();
+        }));
+    *rows_read += fresh->count;
+    // A mutation that landed after the scan has already run the listener;
+    // the stale version recorded here keeps this entry from being used.
+    std::lock_guard<std::mutex> lock(mu_);
+    edb_cache_[key] = fresh;
+    entry = std::move(fresh);
+  }
+  for (uint64_t i = 0; i < entry->count; ++i) {
+    EDUCE_RETURN_IF_ERROR(emit(entry->rows.data() + i * width));
+  }
+  return base::Status::OK();
 }
 
 base::Result<std::shared_ptr<DatalogManager::Plan>> DatalogManager::Compile(
@@ -404,10 +477,11 @@ base::Result<DatalogManager::Answer> DatalogManager::TryQuery(
     return fallback();
   }
 
-  // Evaluate on private scratch storage; the only shared state touched is
-  // the clause store, through its latched bulk scan.
-  rdl::EvalOptions eval_options;
-  rdl::Evaluator eval(&plan->program, eval_options);
+  // Evaluate on the evaluator's own arenas; the only shared state
+  // touched is the EDB cache and, on a miss, the clause store's latched
+  // bulk scan.
+  rdl::Evaluator eval(&plan->program, rdl::EvalOptions{});
+  uint64_t store_rows = 0;
   base::Status eval_status;
   {
     obs::ScopedSpan span(tracer_, obs::SpanKind::kDatalog,
@@ -428,28 +502,7 @@ base::Result<DatalogManager::Answer> DatalogManager::TryQuery(
       if (src == plan->edb_sources.end()) {
         return base::Status::Internal("datalog: EDB pred without source");
       }
-      edb::ProcedureInfo* proc =
-          store_->Find(src->second.first, src->second.second);
-      if (proc == nullptr) {
-        return base::Status::Unsupported("datalog: relation dropped");
-      }
-      std::vector<int64_t> row(width == 0 ? 1 : width, 0);
-      EDUCE_ASSIGN_OR_RETURN(
-          uint64_t version,
-          store_->ScanAllFacts(proc, [&](const term::Ast& fact)
-                                         -> base::Status {
-            for (uint32_t i = 0; i < width; ++i) {
-              EDUCE_ASSIGN_OR_RETURN(rdl::Term t, EncodeArg(*fact.args[i]));
-              if (t.is_var) {
-                return base::Status::Unsupported(
-                    "datalog: non-ground EDB fact");
-              }
-              row[i] = t.value;
-            }
-            return emit(row.data());
-          }));
-      (void)version;
-      return base::Status::OK();
+      return LoadEdb(src->second, width, emit, &store_rows);
     });
   }
   if (!eval_status.ok()) {
@@ -562,7 +615,7 @@ base::Result<DatalogManager::Answer> DatalogManager::TryQuery(
     stats_.join_probes += es.join_probes;
     stats_.index_builds += es.index_builds;
     stats_.dedup_hits += es.dedup_hits;
-    stats_.edb_rows += es.edb_rows;
+    stats_.edb_rows += store_rows;
     stats_.last_delta_sizes = es.delta_sizes;
     stats_.last_per_stratum_tuples = es.per_stratum_tuples;
   }

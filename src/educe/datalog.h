@@ -42,9 +42,11 @@ struct DatalogStats {
   uint64_t iterations = 0;
   uint64_t tuples_derived = 0;
   uint64_t join_rows = 0;
-  uint64_t join_probes = 0;         // intermediate rows probed into indexes
-  uint64_t index_builds = 0;        // BANG join indexes built
+  uint64_t join_probes = 0;         // hash-index lookups in join loops
+  uint64_t index_builds = 0;        // column hash indexes built
   uint64_t dedup_hits = 0;
+  /// EDB rows read from the clause store to fill the EDB cache; a query
+  /// served from warm cache entries reads 0.
   uint64_t edb_rows = 0;
   /// Per-round new-tuple counts of the most recent evaluation.
   std::vector<uint64_t> last_delta_sizes;
@@ -57,13 +59,16 @@ struct DatalogStats {
 /// decides per-procedure eligibility, compiles (predicate, adornment)
 /// pairs to rel::datalog programs with magic-set rewriting, caches the
 /// plans with push invalidation off the clause store's mutation
-/// listeners, and runs queries through rel::datalog::Evaluator with EDB
-/// relations fed by ClauseStore::ScanAllFacts.
+/// listeners, and runs queries through rel::datalog::Evaluator. EDB
+/// relations come from an EDB cache: one flat row vector per relation,
+/// filled by one ClauseStore::ScanAllFacts and used while the
+/// procedure's version still matches.
 ///
-/// Thread safety: all public methods latch an internal mutex; the
-/// evaluation itself runs on private scratch storage, and the bulk fact
-/// scan takes the clause store's read latch, so concurrent sessions may
-/// answer bottom-up queries in parallel.
+/// Thread safety: all public methods latch an internal mutex; each
+/// evaluation owns its arenas, cache entries are immutable once
+/// published, and the bulk fact scan takes the clause store's read
+/// latch, so concurrent sessions may answer bottom-up queries in
+/// parallel.
 class DatalogManager {
  public:
   DatalogManager(dict::Dictionary* dictionary, edb::ClauseStore* store,
@@ -101,9 +106,16 @@ class DatalogManager {
 
   DatalogStats stats() const;
 
+  /// Bytes held by the EDB cache's row vectors.
+  uint64_t EdbCacheBytes() const;
+
+  /// Drops every EDB cache entry. The cached rows hold atom SymbolIds, so
+  /// a dictionary sweep that may recycle ids must call this.
+  void ClearEdbCache();
+
  private:
   struct Plan;
-  struct PredEntry;
+  struct EdbRows;
 
   using PredKey = std::pair<std::string, uint32_t>;  // name, arity
 
@@ -119,6 +131,15 @@ class DatalogManager {
 
   void InvalidateDependents(const PredKey& key);
 
+  /// Feeds the rows of EDB relation `key` to `emit`: from its cache entry
+  /// when that was read at the procedure's current version, otherwise
+  /// from one bulk scan that replaces the entry. Adds the rows read from
+  /// the store to `*rows_read`. Takes mu_ only around the cache lookup
+  /// and the publish, never across the store call.
+  base::Status LoadEdb(const PredKey& key, uint32_t width,
+                       const rel::datalog::Evaluator::EmitFn& emit,
+                       uint64_t* rows_read);
+
   dict::Dictionary* dictionary_;
   edb::ClauseStore* store_;
   wam::Program* program_;
@@ -132,6 +153,7 @@ class DatalogManager {
   std::map<PredKey, std::vector<term::AstPtr>> catalog_;
   std::map<PredKey, DatalogStrategy> strategies_;
   std::map<PlanKey, std::shared_ptr<Plan>> plans_;
+  std::map<PredKey, std::shared_ptr<const EdbRows>> edb_cache_;
   DatalogStats stats_;
 };
 

@@ -813,8 +813,10 @@ base::Result<uint64_t> Engine::CollectDictionary() {
   for (dict::SymbolId id : dead) {
     EDUCE_RETURN_IF_ERROR(dictionary_.Remove(id));
   }
-  // Cached SymbolId -> external-procedure mappings may name swept ids.
+  // Cached SymbolId -> external-procedure mappings and cached EDB rows
+  // may name swept ids.
   clause_store_.InvalidateFunctorCache();
+  datalog_->ClearEdbCache();
   return static_cast<uint64_t>(dead.size());
 }
 
@@ -1038,6 +1040,7 @@ EngineStats Engine::Stats() {
       loader_.cache()->MeasureShardOccupancy();
   stats.memory.code_cache_shard_max_bytes = occupancy.max_bytes;
   stats.memory.code_cache_shard_min_bytes = occupancy.min_bytes;
+  stats.memory.datalog_edb_cache_bytes = datalog_->EdbCacheBytes();
   return stats;
 }
 
@@ -1311,6 +1314,8 @@ std::string Engine::ExportMetricsJson() {
          num(stats.memory.code_cache_shard_min_bytes);
   out += ",\"paged_file_bytes\":" + num(stats.memory.paged_file_bytes);
   out += ",\"wal_file_bytes\":" + num(stats.memory.wal_file_bytes);
+  out += ",\"datalog_edb_cache_bytes\":" +
+         num(stats.memory.datalog_edb_cache_bytes);
   out += "}";
   out += ",\"wal\":{";
   out += "\"enabled\":";

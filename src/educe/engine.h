@@ -294,9 +294,9 @@ struct SolveOutcome {
   std::vector<std::string> rows;
 };
 
-/// The unified memory report (ROADMAP "memory budget split"): the two
-/// big in-memory consumers — buffer pool and code cache — side by side,
-/// plus the size of the backing paged file.
+/// The unified memory report (ROADMAP "memory budget split"): the big
+/// in-memory consumers — buffer pool, code cache and the Datalog EDB
+/// cache — side by side, plus the size of the backing paged file.
 struct EngineMemoryReport {
   uint64_t buffer_resident_bytes = 0;
   uint64_t buffer_capacity_bytes = 0;
@@ -311,6 +311,9 @@ struct EngineMemoryReport {
   /// Bytes currently in the write-ahead log (0 without one); the space a
   /// checkpoint would reclaim.
   uint64_t wal_file_bytes = 0;
+  /// Bytes of EDB rows the bottom-up evaluator keeps between queries
+  /// (DatalogManager's EDB cache); heap, not part of either file.
+  uint64_t datalog_edb_cache_bytes = 0;
 };
 
 /// Aggregated counters across all Engine subsystems.

@@ -5,23 +5,14 @@
 #include <set>
 #include <utility>
 
-#include "rel/exec.h"
-
 namespace educe::rel::datalog {
 
 namespace {
 
 // Width of the stored relation for a predicate: nullary predicates get one
-// synthetic constant-0 column so every relation has at least one attribute
-// (the executor has no zero-column tuples).
+// synthetic constant-0 column, so every tuple occupies an arena row.
 uint32_t WidthOf(const Predicate& pred) {
   return pred.arity == 0 ? 1 : pred.arity;
-}
-
-// Atom args normalized to relation width (pads nullary atoms).
-std::vector<Term> NormArgs(const Atom& atom) {
-  if (!atom.args.empty()) return atom.args;
-  return {Term::Const(0)};
 }
 
 std::string PredName(const Program& program, uint32_t pred) {
@@ -342,171 +333,191 @@ base::Result<MagicProgram> MagicRewrite(const Program& program,
 // ---------------------------------------------------------------------------
 // RowSet
 
-size_t RowSet::Hasher::operator()(uint64_t index) const {
-  const int64_t* row = owner->RowAt(index);
+namespace {
+
+// Hash of one row for the open-addressing tables: a multiply-xorshift
+// step per column, so the low bits a power-of-two mask keeps depend on
+// every bit of every column.
+uint64_t HashRow(const int64_t* row, uint32_t width) {
   uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (uint32_t i = 0; i < owner->width_; ++i) {
-    h ^= static_cast<uint64_t>(row[i]) + 0x9e3779b97f4a7c15ull + (h << 6) +
-         (h >> 2);
+  for (uint32_t i = 0; i < width; ++i) {
+    h = (h ^ static_cast<uint64_t>(row[i])) * 0xff51afd7ed558ccdull;
+    h ^= h >> 32;
   }
-  return static_cast<size_t>(h);
+  return h;
 }
 
-bool RowSet::Equal::operator()(uint64_t a, uint64_t b) const {
-  const int64_t* ra = owner->RowAt(a);
-  const int64_t* rb = owner->RowAt(b);
-  for (uint32_t i = 0; i < owner->width_; ++i) {
-    if (ra[i] != rb[i]) return false;
+}  // namespace
+
+RowSet::RowSet(uint32_t width) : width_(width), slots_(16, kNotFound) {}
+
+uint64_t RowSet::FindSlot(const int64_t* row) const {
+  const uint64_t mask = slots_.size() - 1;
+  for (uint64_t s = HashRow(row, width_) & mask;; s = (s + 1) & mask) {
+    const uint64_t id = slots_[s];
+    if (id == kNotFound || std::equal(row, row + width_, RowAt(id))) return s;
   }
-  return true;
 }
 
-RowSet::RowSet(uint32_t width)
-    : width_(width), set_(16, Hasher{this}, Equal{this}) {}
+void RowSet::Grow() {
+  slots_.assign(slots_.size() * 2, kNotFound);
+  const uint64_t mask = slots_.size() - 1;
+  for (uint64_t id = 0; id < count_; ++id) {
+    uint64_t s = HashRow(RowAt(id), width_) & mask;
+    while (slots_[s] != kNotFound) s = (s + 1) & mask;
+    slots_[s] = id;
+  }
+}
 
 bool RowSet::Insert(const int64_t* row) {
+  // A load factor of at most 1/2 keeps linear-probe runs short.
+  if ((count_ + 1) * 2 > slots_.size()) Grow();
+  const uint64_t s = FindSlot(row);
+  if (slots_[s] != kNotFound) return false;
+  slots_[s] = count_++;
   arena_.insert(arena_.end(), row, row + width_);
-  auto [it, inserted] = set_.insert(count_);
-  (void)it;
-  if (!inserted) {
-    arena_.resize(arena_.size() - width_);
-    return false;
-  }
-  ++count_;
   return true;
-}
-
-bool RowSet::Contains(const int64_t* row) {
-  // Append-probe-rollback: the candidate briefly lives at the arena tail
-  // so the set's index-based hash/equality can see it.
-  arena_.insert(arena_.end(), row, row + width_);
-  bool found = set_.find(count_) != set_.end();
-  arena_.resize(arena_.size() - width_);
-  return found;
 }
 
 // ---------------------------------------------------------------------------
 // Evaluator
 
+// Hash index on one column of a relation: value -> the ids of the rows
+// holding it, chained in ascending row order. It covers the rows
+// [0, next_.size()) and is extended at every flush, so a probe sees
+// exactly the relation's total.
+class Evaluator::ColumnIndex {
+ public:
+  static constexpr uint64_t kEnd = ~uint64_t{0};
+
+  explicit ColumnIndex(uint32_t column) : column_(column), keys_(1) {}
+
+  void Extend(const RowSet& rows, uint64_t end) {
+    for (uint64_t r = next_.size(); r < end; ++r) {
+      const int64_t* key = rows.RowAt(r) + column_;
+      const uint64_t k = keys_.Find(key);
+      if (k == RowSet::kNotFound) {
+        keys_.Insert(key);
+        head_.push_back(r);
+        tail_.push_back(r);
+      } else {
+        next_[tail_[k]] = r;
+        tail_[k] = r;
+      }
+      next_.push_back(kEnd);
+    }
+  }
+
+  /// First row holding `key`, or kEnd.
+  uint64_t First(int64_t key) const {
+    const uint64_t k = keys_.Find(&key);
+    return k == RowSet::kNotFound ? kEnd : head_[k];
+  }
+  /// The next row after `row` with the same key, or kEnd.
+  uint64_t Next(uint64_t row) const { return next_[row]; }
+
+ private:
+  uint32_t column_;
+  RowSet keys_;  // distinct values; a value's id indexes head_/tail_
+  std::vector<uint64_t> head_, tail_;
+  std::vector<uint64_t> next_;  // per indexed row: next row with its key
+};
+
+// Rows [0, total_end) are the total as of the last flush and
+// [delta_begin, total_end) the rows that flush added; rows past
+// total_end are this round's derivations, which no join reads yet.
 struct Evaluator::Rel {
-  uint32_t width = 0;
-  Table* total = nullptr;       // all tuples up to the previous flush
-  Table* delta = nullptr;       // tuples new in the previous flush
-  std::unique_ptr<RowSet> set;  // every tuple ever derived (incl. pending)
-  std::vector<int64_t> pending; // derived this round, flat rows
-  std::set<int> indexed;        // columns of `total` with a built index
+  explicit Rel(uint32_t width) : rows(width), indexes(width) {}
+  RowSet rows;  // every tuple ever derived, in first-derivation order
+  uint64_t total_end = 0;
+  uint64_t delta_begin = 0;
+  std::vector<std::unique_ptr<ColumnIndex>> indexes;  // per column, lazy
+};
+
+// A positive body literal: a scan of a row range, or a hash-index probe
+// on a constant or an earlier-bound variable; then the bindings of its
+// new variables and the checks of its other columns.
+struct Evaluator::Step {
+  const RowSet* rows = nullptr;
+  uint64_t begin = 0, end = 0;  // scanned range when `index` is null
+  const ColumnIndex* index = nullptr;
+  Term key;
+  std::vector<std::pair<uint32_t, uint32_t>> binds;  // var := row[col]
+  std::vector<std::pair<uint32_t, Term>> checks;     // row[col] == term
+};
+
+struct Evaluator::RuleJoin {
+  const Rule* rule = nullptr;
+  Rel* head = nullptr;
+  std::vector<Step> steps;
+  std::vector<const Atom*> negatives;
+  std::vector<int64_t> vars;  // current value of each rule variable
+  std::vector<int64_t> row;   // head / negated-literal probe buffer
+  uint64_t* derived = nullptr;
+
+  int64_t Value(const Term& t) const { return t.is_var ? vars[t.var] : t.value; }
 };
 
 Evaluator::Evaluator(const Program* program, EvalOptions options)
-    : program_(program),
-      options_(options),
-      scratch_file_(storage::PagedFile::Options{options.page_size, 0}) {
-  scratch_pool_ = std::make_unique<storage::BufferPool>(
-      &scratch_file_, options_.scratch_frames);
-  scratch_db_ = std::make_unique<Database>(scratch_pool_.get());
-}
+    : program_(program), options_(options) {}
 
 Evaluator::~Evaluator() = default;
-
-base::Result<Table*> Evaluator::NewTable(const std::string& name,
-                                         uint32_t width) {
-  std::vector<Column> columns;
-  columns.reserve(width);
-  for (uint32_t i = 0; i < width; ++i) {
-    columns.push_back(Column{"c" + std::to_string(i), ColumnType::kInt});
-  }
-  return scratch_db_->CreateTable(name + "#" + std::to_string(table_seq_++),
-                                  Schema(std::move(columns)));
-}
 
 base::Status Evaluator::LoadEdb(const EdbLoader& loader) {
   for (uint32_t p = 0; p < program_->preds.size(); ++p) {
     if (!program_->preds[p].edb) continue;
     Rel* rel = rels_[p].get();
-    Tuple tuple(rel->width);
+    const bool nullary = program_->preds[p].arity == 0;
+    const int64_t padding = 0;
     auto emit = [&](const int64_t* row) -> base::Status {
-      int64_t padded = 0;
-      const int64_t* stored = row;
-      if (program_->preds[p].arity == 0) stored = &padded;
       ++stats_.edb_rows;
-      if (!rel->set->Insert(stored)) return base::Status::OK();
-      for (uint32_t i = 0; i < rel->width; ++i) tuple[i] = stored[i];
-      return rel->total->Insert(tuple);
+      rel->rows.Insert(nullary ? &padding : row);
+      return base::Status::OK();
     };
     EDUCE_RETURN_IF_ERROR(loader(p, program_->preds[p].arity, emit));
+    rel->total_end = rel->rows.size();
   }
-  return EnsureScratchCapacity();
+  return base::Status::OK();
 }
 
-base::Status Evaluator::EnsureScratchCapacity() {
-  // Keep the pool at least 25% larger than the file so appends and the
-  // random join probes never evict. Doubling amortizes the resize cost;
-  // the cap (1 GiB of 4 KiB frames) is a runaway backstop, beyond which
-  // the pool degrades gracefully into an ordinary evicting cache.
-  constexpr uint64_t kMaxScratchFrames = 262144;
-  const uint64_t pages = scratch_file_.page_count();
-  const uint64_t frames = scratch_pool_->num_frames();
-  if (frames >= kMaxScratchFrames || pages + pages / 4 < frames) {
-    return base::Status::OK();
+const Evaluator::ColumnIndex* Evaluator::IndexOn(Rel* rel, uint32_t column) {
+  std::unique_ptr<ColumnIndex>& index = rel->indexes[column];
+  if (index == nullptr) {
+    index = std::make_unique<ColumnIndex>(column);
+    index->Extend(rel->rows, rel->total_end);
+    ++stats_.index_builds;
   }
-  const uint64_t want = std::min<uint64_t>(
-      kMaxScratchFrames,
-      std::max<uint64_t>(frames * 2, pages + pages / 2 + 64));
-  return scratch_pool_->Resize(static_cast<uint32_t>(want));
+  return index.get();
 }
 
-base::Status Evaluator::EvalRule(const Rule& rule, int delta_pos,
-                                 uint64_t* derived) {
-  Rel* head_rel = rels_[rule.head.pred].get();
-  std::vector<Term> head_args = NormArgs(rule.head);
-
+void Evaluator::EvalRule(const Rule& rule, int delta_pos, uint64_t* derived) {
+  RuleJoin join;
+  join.rule = &rule;
+  join.head = rels_[rule.head.pred].get();
+  join.derived = derived;
+  uint32_t num_vars = 0;
+  auto count_vars = [&](const Atom& atom) {
+    for (const Term& t : atom.args) {
+      if (t.is_var) num_vars = std::max(num_vars, t.var + 1);
+    }
+  };
+  count_vars(rule.head);
   std::vector<size_t> positives;
-  std::vector<size_t> negatives;
   for (size_t i = 0; i < rule.body.size(); ++i) {
-    (rule.body[i].negated ? negatives : positives).push_back(i);
-  }
-
-  // var -> column of the intermediate tuple.
-  std::map<uint32_t, int> var_col;
-  auto as_int = [](const Value& v) { return std::get<int64_t>(v); };
-
-  auto emit_head = [&](const Tuple& row) {
-    std::vector<int64_t> out(head_rel->width, 0);
-    for (size_t i = 0; i < head_args.size(); ++i) {
-      out[i] = head_args[i].is_var ? as_int(row[var_col.at(head_args[i].var)])
-                                   : head_args[i].value;
-    }
-    if (head_rel->set->Insert(out.data())) {
-      head_rel->pending.insert(head_rel->pending.end(), out.begin(),
-                               out.end());
-      ++stats_.tuples_derived;
-      ++*derived;
+    count_vars(rule.body[i]);
+    if (rule.body[i].negated) {
+      join.negatives.push_back(&rule.body[i]);
     } else {
-      ++stats_.dedup_hits;
+      positives.push_back(i);
     }
-  };
-
-  auto passes_negatives = [&](const Tuple& row) {
-    for (size_t n : negatives) {
-      const Atom& atom = rule.body[n];
-      Rel* neg_rel = rels_[atom.pred].get();
-      std::vector<int64_t> probe(neg_rel->width, 0);
-      std::vector<Term> args = NormArgs(atom);
-      for (size_t i = 0; i < args.size(); ++i) {
-        probe[i] = args[i].is_var ? as_int(row[var_col.at(args[i].var)])
-                                  : args[i].value;
-      }
-      if (neg_rel->set->Contains(probe.data())) return false;
-    }
-    return true;
-  };
+  }
+  join.vars.assign(num_vars, 0);
 
   if (positives.empty()) {
     // Fact rule (or purely negative body, which range restriction limits
-    // to ground literals): one virtual row, no scan.
-    Tuple empty;
-    if (passes_negatives(empty)) emit_head(empty);
-    return base::Status::OK();
+    // to ground literals): one virtual match, no scan.
+    EmitHead(&join);
+    return;
   }
 
   // Join order: the delta literal leads its variant; after that, greedily
@@ -535,126 +546,110 @@ base::Status Evaluator::EvalRule(const Rule& rule, int delta_pos,
     }
   }
 
-  std::unique_ptr<RowSource> src;
-  int width = 0;
-  for (size_t k = 0; k < order.size(); ++k) {
-    size_t body_idx = order[k];
+  std::vector<bool> bound(num_vars, false);
+  for (size_t body_idx : order) {
     const Atom& atom = rule.body[body_idx];
     Rel* rel = rels_[atom.pred].get();
-    Table* table = (delta_pos >= 0 && body_idx == static_cast<size_t>(delta_pos))
-                       ? rel->delta
-                       : rel->total;
-    if (table == nullptr || table->row_count() == 0) return base::Status::OK();
-    std::vector<Term> args = NormArgs(atom);
-    int base = width;
-
-    // Post-join filters: constants, repeated variables within the atom,
-    // and shared variables beyond the join column.
-    std::vector<std::pair<int, int64_t>> const_filters;
-    std::vector<std::pair<int, int>> eq_filters;
-    int join_left = -1, join_right = -1;
-    std::map<uint32_t, int> local;  // var -> column within this atom
-    for (size_t i = 0; i < args.size(); ++i) {
-      int col = base + static_cast<int>(i);
-      if (!args[i].is_var) {
-        const_filters.emplace_back(col, args[i].value);
-        continue;
-      }
-      auto here = local.find(args[i].var);
-      if (here != local.end()) {
-        eq_filters.emplace_back(base + here->second, col);
-        continue;
-      }
-      local.emplace(args[i].var, static_cast<int>(i));
-      auto outer = var_col.find(args[i].var);
-      if (outer != var_col.end()) {
-        if (k > 0 && join_left < 0) {
-          join_left = outer->second;
-          join_right = static_cast<int>(i);
-        } else {
-          eq_filters.emplace_back(outer->second, col);
+    const bool is_delta =
+        delta_pos >= 0 && body_idx == static_cast<size_t>(delta_pos);
+    Step step;
+    step.rows = &rel->rows;
+    step.begin = is_delta ? rel->delta_begin : 0;
+    step.end = rel->total_end;
+    if (step.begin == step.end) return;  // an empty input: no matches
+    // The delta is scanned; any other literal probes the index of its
+    // first column whose value is known before the literal is reached.
+    int probe_column = -1;
+    if (!is_delta) {
+      for (uint32_t col = 0; col < atom.args.size(); ++col) {
+        const Term& t = atom.args[col];
+        if (!t.is_var || bound[t.var]) {
+          probe_column = static_cast<int>(col);
+          step.index = IndexOn(rel, col);
+          step.key = t;
+          break;
         }
+      }
+    }
+    for (uint32_t col = 0; col < atom.args.size(); ++col) {
+      if (static_cast<int>(col) == probe_column) continue;
+      const Term& t = atom.args[col];
+      if (t.is_var && !bound[t.var]) {
+        bound[t.var] = true;
+        step.binds.emplace_back(t.var, col);
       } else {
-        var_col.emplace(args[i].var, col);
+        step.checks.emplace_back(col, t);
       }
     }
-
-    if (k == 0) {
-      src = MakeSeqScan(table);
-    } else if (join_left >= 0) {
-      // Probe through a BANG index on the stored side: per intermediate
-      // row, only the matching bucket is touched — this is what keeps a
-      // delta round at |delta| x selectivity instead of a full rescan.
-      if (rel->indexed.find(join_right) == rel->indexed.end()) {
-        EDUCE_RETURN_IF_ERROR(
-            table->CreateIndex(table->schema().column(join_right).name));
-        rel->indexed.insert(join_right);
-        ++stats_.index_builds;
-      }
-      // Pass-through counter on the probe side: join_probes / join_rows
-      // is the observed index selectivity per evaluation.
-      src = MakeFilter(std::move(src), [this](const Tuple&) {
-        ++stats_.join_probes;
-        return true;
-      });
-      src = MakeIndexNestedLoopJoin(std::move(src), table, join_left,
-                                    join_right);
-    } else {
-      src = MakeCrossJoin(std::move(src), MakeSeqScan(table));
-    }
-    if (!const_filters.empty() || !eq_filters.empty()) {
-      src = MakeFilter(
-          std::move(src),
-          [const_filters, eq_filters, as_int](const Tuple& row) {
-            for (const auto& [col, value] : const_filters) {
-              if (as_int(row[col]) != value) return false;
-            }
-            for (const auto& [a, b] : eq_filters) {
-              if (as_int(row[a]) != as_int(row[b])) return false;
-            }
-            return true;
-          });
-    }
-    width += static_cast<int>(args.size());
+    join.steps.push_back(std::move(step));
   }
-
-  Tuple row;
-  while (true) {
-    EDUCE_ASSIGN_OR_RETURN(bool more, src->Next(&row));
-    if (!more) break;
-    ++stats_.join_rows;
-    if (!passes_negatives(row)) continue;
-    emit_head(row);
-  }
-  return base::Status::OK();
+  Join(&join, 0);
 }
 
-base::Status Evaluator::FlushPending(const std::vector<uint32_t>& members,
-                                     uint64_t iteration, uint64_t* flushed) {
-  *flushed = 0;
+void Evaluator::Join(RuleJoin* join, size_t k) {
+  if (k == join->steps.size()) {
+    ++stats_.join_rows;
+    EmitHead(join);
+    return;
+  }
+  const Step& step = join->steps[k];
+  // Bindings and checks read the row before recursing: deeper steps may
+  // append to this same RowSet and move its arena.
+  auto match = [&](uint64_t r) {
+    const int64_t* row = step.rows->RowAt(r);
+    for (const auto& [var, col] : step.binds) join->vars[var] = row[col];
+    for (const auto& [col, term] : step.checks) {
+      if (row[col] != join->Value(term)) return;
+    }
+    Join(join, k + 1);
+  };
+  if (step.index != nullptr) {
+    ++stats_.join_probes;
+    for (uint64_t r = step.index->First(join->Value(step.key));
+         r != ColumnIndex::kEnd; r = step.index->Next(r)) {
+      match(r);
+    }
+  } else {
+    for (uint64_t r = step.begin; r < step.end; ++r) match(r);
+  }
+}
+
+void Evaluator::EmitHead(RuleJoin* join) {
+  // Nullary atoms are stored as one constant-0 column, hence the zero
+  // fill before the arguments go in.
+  for (const Atom* atom : join->negatives) {
+    const RowSet& rows = rels_[atom->pred]->rows;
+    join->row.assign(rows.width(), 0);
+    for (size_t i = 0; i < atom->args.size(); ++i) {
+      join->row[i] = join->Value(atom->args[i]);
+    }
+    if (rows.Contains(join->row.data())) return;
+  }
+  const std::vector<Term>& head_args = join->rule->head.args;
+  join->row.assign(join->head->rows.width(), 0);
+  for (size_t i = 0; i < head_args.size(); ++i) {
+    join->row[i] = join->Value(head_args[i]);
+  }
+  if (join->head->rows.Insert(join->row.data())) {
+    ++stats_.tuples_derived;
+    ++*join->derived;
+  } else {
+    ++stats_.dedup_hits;
+  }
+}
+
+uint64_t Evaluator::FlushPending(const std::vector<uint32_t>& members) {
+  uint64_t flushed = 0;
   for (uint32_t p : members) {
     Rel* rel = rels_[p].get();
-    if (rel->pending.empty()) {
-      rel->delta = nullptr;
-      continue;
+    rel->delta_begin = rel->total_end;
+    rel->total_end = rel->rows.size();
+    flushed += rel->total_end - rel->delta_begin;
+    for (const auto& index : rel->indexes) {
+      if (index != nullptr) index->Extend(rel->rows, rel->total_end);
     }
-    EDUCE_ASSIGN_OR_RETURN(
-        Table * delta,
-        NewTable(PredName(*program_, p) + ".d" + std::to_string(iteration),
-                 rel->width));
-    Tuple tuple(rel->width);
-    const size_t rows = rel->pending.size() / rel->width;
-    for (size_t r = 0; r < rows; ++r) {
-      const int64_t* flat = rel->pending.data() + r * rel->width;
-      for (uint32_t i = 0; i < rel->width; ++i) tuple[i] = flat[i];
-      EDUCE_RETURN_IF_ERROR(delta->Insert(tuple));
-      EDUCE_RETURN_IF_ERROR(rel->total->Insert(tuple));
-    }
-    rel->delta = delta;
-    rel->pending.clear();
-    *flushed += rows;
   }
-  return EnsureScratchCapacity();
+  return flushed;
 }
 
 base::Status Evaluator::EvalStratum(const std::vector<uint32_t>& rule_ids,
@@ -679,14 +674,12 @@ base::Status Evaluator::EvalStratum(const std::vector<uint32_t>& rule_ids,
   }
 
   uint64_t derived = 0;
-  for (uint32_t r : rule_ids) {
-    EDUCE_RETURN_IF_ERROR(EvalRule(program_->rules[r], -1, &derived));
-  }
-  uint64_t round = 0, flushed = 0, stratum_tuples = 0;
-  EDUCE_RETURN_IF_ERROR(FlushPending(members, round, &flushed));
+  for (uint32_t r : rule_ids) EvalRule(program_->rules[r], -1, &derived);
+  uint64_t round = 0;
+  uint64_t flushed = FlushPending(members);
+  uint64_t stratum_tuples = flushed;
   ++stats_.iterations;
   stats_.delta_sizes.push_back(flushed);
-  stratum_tuples += flushed;
 
   while (flushed > 0) {
     ++round;
@@ -698,16 +691,14 @@ base::Status Evaluator::EvalStratum(const std::vector<uint32_t>& rule_ids,
     derived = 0;
     if (options_.semi_naive) {
       for (const auto& [r, pos] : variants) {
-        EDUCE_RETURN_IF_ERROR(EvalRule(program_->rules[r], pos, &derived));
+        EvalRule(program_->rules[r], pos, &derived);
       }
     } else {
       // Naive mode re-derives everything from totals every round; the
       // RowSet keeps the fixpoint identical. Testing reference only.
-      for (uint32_t r : rule_ids) {
-        EDUCE_RETURN_IF_ERROR(EvalRule(program_->rules[r], -1, &derived));
-      }
+      for (uint32_t r : rule_ids) EvalRule(program_->rules[r], -1, &derived);
     }
-    EDUCE_RETURN_IF_ERROR(FlushPending(members, round, &flushed));
+    flushed = FlushPending(members);
     ++stats_.iterations;
     stats_.delta_sizes.push_back(flushed);
     stratum_tuples += flushed;
@@ -722,14 +713,9 @@ base::Status Evaluator::Run(const EdbLoader& loader) {
   EDUCE_RETURN_IF_ERROR(Validate(*program_));
   EDUCE_ASSIGN_OR_RETURN(std::vector<uint32_t> strata, Stratify(*program_));
 
-  rels_.resize(program_->preds.size());
-  for (uint32_t p = 0; p < program_->preds.size(); ++p) {
-    auto rel = std::make_unique<Rel>();
-    rel->width = WidthOf(program_->preds[p]);
-    EDUCE_ASSIGN_OR_RETURN(rel->total,
-                           NewTable(PredName(*program_, p), rel->width));
-    rel->set = std::make_unique<RowSet>(rel->width);
-    rels_[p] = std::move(rel);
+  rels_.reserve(program_->preds.size());
+  for (const Predicate& pred : program_->preds) {
+    rels_.push_back(std::make_unique<Rel>(WidthOf(pred)));
   }
   EDUCE_RETURN_IF_ERROR(LoadEdb(loader));
 
@@ -746,18 +732,18 @@ base::Status Evaluator::Run(const EdbLoader& loader) {
 }
 
 uint64_t Evaluator::TupleCount(uint32_t pred) const {
-  if (pred >= rels_.size() || rels_[pred] == nullptr) return 0;
-  return rels_[pred]->set->size();
+  if (pred >= rels_.size()) return 0;
+  return rels_[pred]->rows.size();
 }
 
 std::vector<std::vector<int64_t>> Evaluator::Tuples(uint32_t pred) const {
   std::vector<std::vector<int64_t>> out;
-  if (pred >= rels_.size() || rels_[pred] == nullptr) return out;
-  const Rel* rel = rels_[pred].get();
-  const uint32_t width = program_->preds[pred].arity == 0 ? 0 : rel->width;
-  out.reserve(rel->set->size());
-  for (uint64_t i = 0; i < rel->set->size(); ++i) {
-    const int64_t* row = rel->set->RowAt(i);
+  if (pred >= rels_.size()) return out;
+  const RowSet& rows = rels_[pred]->rows;
+  const uint32_t width = program_->preds[pred].arity == 0 ? 0 : rows.width();
+  out.reserve(rows.size());
+  for (uint64_t i = 0; i < rows.size(); ++i) {
+    const int64_t* row = rows.RowAt(i);
     out.emplace_back(row, row + width);
   }
   return out;
@@ -765,10 +751,10 @@ std::vector<std::vector<int64_t>> Evaluator::Tuples(uint32_t pred) const {
 
 void Evaluator::Visit(
     uint32_t pred, const std::function<bool(const int64_t* row)>& fn) const {
-  if (pred >= rels_.size() || rels_[pred] == nullptr) return;
-  const Rel* rel = rels_[pred].get();
-  for (uint64_t i = 0; i < rel->set->size(); ++i) {
-    if (!fn(rel->set->RowAt(i))) return;
+  if (pred >= rels_.size()) return;
+  const RowSet& rows = rels_[pred]->rows;
+  for (uint64_t i = 0; i < rows.size(); ++i) {
+    if (!fn(rows.RowAt(i))) return;
   }
 }
 

@@ -5,26 +5,21 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "base/result.h"
 #include "base/status.h"
-#include "rel/table.h"
-#include "storage/buffer_pool.h"
-#include "storage/paged_file.h"
 
 namespace educe::rel::datalog {
 
-/// Bottom-up Datalog over the rel executor (DESIGN.md §15).
+/// Bottom-up Datalog on flat int64 arenas (DESIGN.md §15).
 ///
 /// This layer is deliberately term-free: constants are opaque int64
 /// payloads (the engine bridge in src/educe/datalog.h encodes atoms,
 /// integers, floats and bignums into them), predicates are small dense
-/// ids, and variables are per-rule indices. That keeps educe_rel's
-/// dependency surface at base+storage — the same layering as the rest of
-/// the relational executor — and makes programs cheap to hash, rewrite
-/// and cache.
+/// ids, and variables are per-rule indices. That keeps the evaluator
+/// free of any term or storage dependency and makes programs cheap to
+/// hash, rewrite and cache.
 
 /// One argument position: either a rule-scoped variable or a constant.
 struct Term {
@@ -104,59 +99,59 @@ base::Result<MagicProgram> MagicRewrite(const Program& program,
                                         const std::vector<bool>& bound);
 
 struct EvalOptions {
-  bool semi_naive = true;      // false = naive re-derivation (testing only)
-  uint32_t page_size = 4096;
-  uint32_t scratch_frames = 4096;  // scratch buffer pool, in pages
-  uint64_t max_iterations = 0;     // 0 = unbounded; safety valve for tests
+  bool semi_naive = true;       // false = naive re-derivation (testing only)
+  uint64_t max_iterations = 0;  // 0 = unbounded; safety valve for tests
 };
 
 struct EvalStats {
   uint32_t strata = 0;             // evaluation units (SCCs with rules)
   uint64_t iterations = 0;         // delta rounds across all strata
   uint64_t tuples_derived = 0;     // distinct tuples added to IDB totals
-  uint64_t join_rows = 0;          // rows pulled out of rule body plans
-  uint64_t join_probes = 0;        // intermediate rows probed into indexes
-  uint64_t index_builds = 0;       // BANG indexes built for join columns
+  uint64_t join_rows = 0;          // complete rule body matches
+  uint64_t join_probes = 0;        // hash-index lookups in join loops
+  uint64_t index_builds = 0;       // column hash indexes built
   uint64_t dedup_hits = 0;         // derivations rejected as duplicates
   uint64_t edb_rows = 0;           // rows fed by the loader
   std::vector<uint64_t> delta_sizes;  // new tuples per completed round
   std::vector<uint64_t> per_stratum_tuples;  // tuples derived per stratum
 };
 
-/// Deduplicating tuple set over a flat int64 arena. Insert is
-/// append-then-probe: the candidate row is written to the arena tail and
-/// rolled back when an equal row is already present.
+/// Deduplicating tuple set over a flat int64 arena: rows stay in
+/// insertion order, and an open-addressing table of row ids (linear
+/// probing, power-of-two capacity) finds duplicates without a node
+/// allocation per row.
 class RowSet {
  public:
+  static constexpr uint64_t kNotFound = ~uint64_t{0};
+
   explicit RowSet(uint32_t width);
 
-  /// True when the row was new (kept); false on duplicate (rolled back).
+  /// True when the row was new (appended); false on duplicate.
   bool Insert(const int64_t* row);
-  bool Contains(const int64_t* row);
+  /// Row id (insertion index) of `row`, or kNotFound.
+  uint64_t Find(const int64_t* row) const { return slots_[FindSlot(row)]; }
+  bool Contains(const int64_t* row) const { return Find(row) != kNotFound; }
 
   uint64_t size() const { return count_; }
   uint32_t width() const { return width_; }
   const int64_t* RowAt(uint64_t i) const { return arena_.data() + i * width_; }
 
  private:
-  struct Hasher {
-    const RowSet* owner;
-    size_t operator()(uint64_t index) const;
-  };
-  struct Equal {
-    const RowSet* owner;
-    bool operator()(uint64_t a, uint64_t b) const;
-  };
+  /// Slot holding `row`, or the free slot where it would go.
+  uint64_t FindSlot(const int64_t* row) const;
+  void Grow();
 
   uint32_t width_;
   uint64_t count_ = 0;
   std::vector<int64_t> arena_;
-  std::unordered_set<uint64_t, Hasher, Equal> set_;
+  std::vector<uint64_t> slots_;  // row ids; kNotFound marks a free slot
 };
 
-/// Semi-naive fixpoint evaluator. Owns a private scratch PagedFile +
-/// BufferPool + Database, so concurrent evaluations never share mutable
-/// storage state and transient delta pages stay out of the durable image.
+/// Semi-naive fixpoint evaluator. Each predicate's tuples live in one
+/// RowSet in first-derivation order; "total" and "delta" are row ranges
+/// of it, and joins run as nested loops over those ranges and per-column
+/// hash indexes. All state is private to one evaluation, so concurrent
+/// evaluations share nothing mutable.
 class Evaluator {
  public:
   /// Streams the full extension of one EDB predicate: the loader calls
@@ -189,31 +184,25 @@ class Evaluator {
 
  private:
   struct Rel;          // per-predicate state
-  struct BodyPlan;     // compiled join order for one rule variant
+  class ColumnIndex;   // value -> row ids for one column of one Rel
+  struct Step;         // one positive body literal in join order
+  struct RuleJoin;     // compiled join loop for one rule variant
 
   base::Status LoadEdb(const EdbLoader& loader);
-  /// Grows the scratch buffer pool ahead of the allocated page count so
-  /// the whole working set stays resident: delta joins probe the totals
-  /// randomly, and an undersized pool would turn every probe into a
-  /// page-copy eviction cycle.
-  base::Status EnsureScratchCapacity();
   base::Status EvalStratum(const std::vector<uint32_t>& rule_ids,
                            const std::vector<uint32_t>& strata,
                            uint32_t stratum);
-  base::Status EvalRule(const Rule& rule, int delta_pos, uint64_t* derived);
-  base::Status FlushPending(const std::vector<uint32_t>& members,
-                            uint64_t iteration, uint64_t* flushed);
-  base::Result<Table*> NewTable(const std::string& name, uint32_t width);
+  void EvalRule(const Rule& rule, int delta_pos, uint64_t* derived);
+  void Join(RuleJoin* join, size_t k);
+  void EmitHead(RuleJoin* join);
+  const ColumnIndex* IndexOn(Rel* rel, uint32_t column);
+  uint64_t FlushPending(const std::vector<uint32_t>& members);
 
   const Program* program_;
   EvalOptions options_;
-  storage::PagedFile scratch_file_;
-  std::unique_ptr<storage::BufferPool> scratch_pool_;
-  std::unique_ptr<Database> scratch_db_;
   std::vector<std::unique_ptr<Rel>> rels_;
   EvalStats stats_;
   bool ran_ = false;
-  uint64_t table_seq_ = 0;
 };
 
 }  // namespace educe::rel::datalog

@@ -223,45 +223,6 @@ class HashJoinSource : public RowSource {
   size_t match_pos_ = 0;
 };
 
-class CrossJoinSource : public RowSource {
- public:
-  CrossJoinSource(std::unique_ptr<RowSource> left,
-                  std::unique_ptr<RowSource> right)
-      : left_(std::move(left)), right_(std::move(right)) {}
-
-  base::Result<bool> Next(Tuple* out) override {
-    if (!built_) {
-      EDUCE_ASSIGN_OR_RETURN(left_rows_, left_->Collect());
-      built_ = true;
-    }
-    while (true) {
-      if (left_pos_ < left_rows_.size() && have_right_) {
-        *out = Concat(left_rows_[left_pos_++], right_row_);
-        return true;
-      }
-      EDUCE_ASSIGN_OR_RETURN(bool more, right_->Next(&right_row_));
-      if (!more) return false;
-      have_right_ = true;
-      left_pos_ = 0;
-    }
-  }
-
-  base::Status Reset() override {
-    left_pos_ = 0;
-    have_right_ = false;
-    return right_->Reset();
-  }
-
- private:
-  std::unique_ptr<RowSource> left_;
-  std::unique_ptr<RowSource> right_;
-  bool built_ = false;
-  std::vector<Tuple> left_rows_;
-  size_t left_pos_ = 0;
-  Tuple right_row_;
-  bool have_right_ = false;
-};
-
 class IndexNestedLoopJoinSource : public RowSource {
  public:
   IndexNestedLoopJoinSource(std::unique_ptr<RowSource> left,
@@ -342,11 +303,6 @@ std::unique_ptr<RowSource> MakeHashJoin(std::unique_ptr<RowSource> left,
                                         int left_column, int right_column) {
   return std::make_unique<HashJoinSource>(std::move(left), std::move(right),
                                           left_column, right_column);
-}
-
-std::unique_ptr<RowSource> MakeCrossJoin(std::unique_ptr<RowSource> left,
-                                         std::unique_ptr<RowSource> right) {
-  return std::make_unique<CrossJoinSource>(std::move(left), std::move(right));
 }
 
 }  // namespace educe::rel

@@ -61,12 +61,6 @@ std::unique_ptr<RowSource> MakeHashJoin(std::unique_ptr<RowSource> left,
                                         std::unique_ptr<RowSource> right,
                                         int left_column, int right_column);
 
-/// Cross product: every left row ++ every right row, no join predicate.
-/// `left` is fully materialized; `right` streams. Used by the Datalog
-/// planner for rule bodies whose literals share no variables.
-std::unique_ptr<RowSource> MakeCrossJoin(std::unique_ptr<RowSource> left,
-                                         std::unique_ptr<RowSource> right);
-
 /// Index nested-loop equi-join: for each left row, probes `right_table`'s
 /// index on `right_column` (requires right_table->HasIndex(right_column)).
 /// Output is left row ++ right row.

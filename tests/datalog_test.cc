@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "base/rng.h"
 #include "educe/datalog.h"
 #include "educe/engine.h"
 #include "rel/datalog.h"
@@ -221,6 +222,116 @@ TEST(DatalogIrTest, StratifiedNegation) {
   // path(0, ·) reaches 1..4, so only node 0 is unreached from 0.
   EXPECT_EQ(SortedTuples(eval, unreached),
             (std::vector<std::vector<int64_t>>{{0}}));
+}
+
+TEST(DatalogIrTest, JoinShapesMatchHandComputedSets) {
+  // One program with every body shape the join loop handles differently:
+  // constants, repeated variables, disconnected bodies (cross products),
+  // nullary heads and bodies, and negated EDB literals — plus a recursive
+  // relation so semi-naive and naive evaluation actually diverge in work.
+  rdl::Program program;
+  const uint32_t edge = program.AddPred("edge", 2, true);
+  const uint32_t node = program.AddPred("node", 1, true);
+  const uint32_t on = program.AddPred("switch", 0, true);    // one tuple
+  const uint32_t off = program.AddPred("breaker", 0, true);  // empty
+  const uint32_t from1 = program.AddPred("from1", 1, false);
+  const uint32_t loop = program.AddPred("loop", 1, false);
+  const uint32_t pair = program.AddPred("pair", 2, false);
+  const uint32_t has_loop = program.AddPred("has_loop", 0, false);
+  const uint32_t flag = program.AddPred("flag", 0, false);
+  const uint32_t lit = program.AddPred("lit", 1, false);
+  const uint32_t powered = program.AddPred("powered", 1, false);
+  const uint32_t tripped = program.AddPred("tripped", 1, false);
+  const uint32_t noself = program.AddPred("noself", 1, false);
+  const uint32_t reach = program.AddPred("reach", 2, false);
+  const uint32_t reach1 = program.AddPred("reach1", 1, false);
+  using T = rdl::Term;
+  using A = rdl::Atom;
+  const T X = T::Var(0), Y = T::Var(1), Z = T::Var(2);
+  // from1(X) :- edge(1, X).
+  program.rules.push_back({A{from1, false, {X}}, {A{edge, false, {T::Const(1), X}}}});
+  // loop(X) :- edge(X, X).
+  program.rules.push_back({A{loop, false, {X}}, {A{edge, false, {X, X}}}});
+  // pair(X, Y) :- node(X), node(Y).
+  program.rules.push_back(
+      {A{pair, false, {X, Y}}, {A{node, false, {X}}, A{node, false, {Y}}}});
+  // has_loop :- edge(X, X).
+  program.rules.push_back({A{has_loop, false, {}}, {A{edge, false, {X, X}}}});
+  // flag.
+  program.rules.push_back({A{flag, false, {}}, {}});
+  // lit(X) :- flag, node(X).
+  program.rules.push_back(
+      {A{lit, false, {X}}, {A{flag, false, {}}, A{node, false, {X}}}});
+  // powered(X) :- switch, loop(X).
+  program.rules.push_back(
+      {A{powered, false, {X}}, {A{on, false, {}}, A{loop, false, {X}}}});
+  // tripped(X) :- breaker, node(X).
+  program.rules.push_back(
+      {A{tripped, false, {X}}, {A{off, false, {}}, A{node, false, {X}}}});
+  // noself(X) :- node(X), \+ edge(X, X).
+  program.rules.push_back({A{noself, false, {X}},
+                           {A{node, false, {X}}, A{edge, true, {X, X}}}});
+  // reach(X, Y) :- edge(X, Y).  reach(X, Y) :- reach(X, Z), edge(Z, Y).
+  program.rules.push_back({A{reach, false, {X, Y}}, {A{edge, false, {X, Y}}}});
+  program.rules.push_back(
+      {A{reach, false, {X, Y}},
+       {A{reach, false, {X, Z}}, A{edge, false, {Z, Y}}}});
+  // reach1(Y) :- reach(1, Y).
+  program.rules.push_back(
+      {A{reach1, false, {Y}}, {A{reach, false, {T::Const(1), Y}}}});
+
+  const std::vector<GraphWorkload::Edge> edges = {
+      {1, 2}, {2, 3}, {3, 3}, {1, 4}, {4, 4}, {3, 5}};
+  auto loader = [&](uint32_t pred, uint32_t width,
+                    const rdl::Evaluator::EmitFn& emit) -> base::Status {
+    if (pred == node) {
+      for (int64_t i = 1; i <= 5; ++i) {
+        EDUCE_RETURN_IF_ERROR(emit(&i));
+      }
+      return base::Status::OK();
+    }
+    if (pred == on) {
+      const int64_t unused = 0;
+      return emit(&unused);
+    }
+    if (pred == off) return base::Status::OK();
+    return EdgeLoader(edge, edges)(pred, width, emit);
+  };
+
+  using Rows = std::vector<std::vector<int64_t>>;
+  std::vector<std::pair<uint32_t, Rows>> expected = {
+      {from1, {{2}, {4}}},
+      {loop, {{3}, {4}}},
+      {has_loop, {{}}},
+      {flag, {{}}},
+      {lit, {{1}, {2}, {3}, {4}, {5}}},
+      {powered, {{3}, {4}}},
+      {tripped, {}},
+      {noself, {{1}, {2}, {5}}},
+      {reach,
+       {{1, 2}, {1, 3}, {1, 4}, {1, 5}, {2, 3}, {2, 5}, {3, 3}, {3, 5},
+        {4, 4}}},
+      {reach1, {{2}, {3}, {4}, {5}}},
+  };
+  Rows pairs;
+  for (int64_t x = 1; x <= 5; ++x) {
+    for (int64_t y = 1; y <= 5; ++y) pairs.push_back({x, y});
+  }
+  expected.emplace_back(pair, pairs);
+
+  rdl::EvalOptions naive_options;
+  naive_options.semi_naive = false;
+  rdl::Evaluator semi(&program, {});
+  rdl::Evaluator naive(&program, naive_options);
+  ASSERT_TRUE(semi.Run(loader).ok());
+  ASSERT_TRUE(naive.Run(loader).ok());
+  for (const auto& [pred, rows] : expected) {
+    EXPECT_EQ(SortedTuples(semi, pred), rows) << program.preds[pred].name;
+    EXPECT_EQ(SortedTuples(naive, pred), rows) << program.preds[pred].name;
+  }
+  // Literals after the first probe column hash indexes.
+  EXPECT_GT(semi.stats().join_probes, 0u);
+  EXPECT_GT(naive.stats().dedup_hits, semi.stats().dedup_hits);
 }
 
 TEST(DatalogIrTest, MagicRewriteDerivesStrictlyFewerTuples) {
@@ -552,8 +663,8 @@ TEST(DatalogEngineTest, DescribeAndMetricsExport) {
 
 TEST(DatalogEngineTest, ParallelBottomUpQueriesAgree) {
   // SolveParallel fans goals over worker sessions; with datalog on, each
-  // session runs its own Evaluator (private scratch storage) against the
-  // shared clause store — the path TSan sweeps via this test.
+  // session runs its own Evaluator (private arenas) over one shared warm
+  // EDB cache entry — the path TSan sweeps via this test.
   EngineOptions options;
   options.datalog = true;
   Engine engine(options);
@@ -561,6 +672,8 @@ TEST(DatalogEngineTest, ParallelBottomUpQueriesAgree) {
       GraphWorkload::StoreEdges(&engine, "edge", GraphWorkload::Chain(40))
           .ok());
   ASSERT_TRUE(engine.Consult(kClosureRules).ok());
+  EXPECT_EQ(SolutionSet(&engine, "path(39, Y)").size(), 0u);  // warms edge/2
+  const uint64_t warm_scans = engine.Stats().clause_store.bulk_fact_scans;
   std::vector<std::string> goals;
   for (int i = 0; i < 16; ++i) {
     goals.push_back("path(" + std::to_string(i) + ", Y)");
@@ -573,6 +686,163 @@ TEST(DatalogEngineTest, ParallelBottomUpQueriesAgree) {
     EXPECT_EQ((*outcomes)[i].count, static_cast<uint64_t>(39 - i)) << i;
   }
   EXPECT_GE(engine.Stats().datalog.queries_bottom_up, 16u);
+  EXPECT_EQ(engine.Stats().clause_store.bulk_fact_scans, warm_scans)
+      << "a worker re-read edge/2 instead of sharing the warm entry";
+}
+
+TEST(DatalogEngineTest, EdbCacheFollowsInterleavedMutations) {
+  // Bottom-up queries interleaved with every kind of edge/2 mutation; the
+  // WAM engine (which never caches EDB rows) is the oracle after each
+  // step. Edges only run forward, so the graph stays a DAG and the
+  // right-recursive rules terminate top-down.
+  constexpr int64_t kNodes = 12;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    EnginePair pair;
+    std::vector<GraphWorkload::Edge> current =
+        GraphWorkload::RandomDag(kNodes, 20, seed);
+    pair.LoadEdges(current);
+    pair.ConsultBoth(kClosureRules);
+    base::Rng rng(seed);
+    for (int step = 0; step < 24; ++step) {
+      const int64_t a = static_cast<int64_t>(rng.Below(kNodes - 1));
+      const int64_t b =
+          a + 1 + static_cast<int64_t>(rng.Below(kNodes - 1 - a));
+      const uint64_t action = rng.Below(3);
+      std::string fact = "edge(" + std::to_string(a) + ", " +
+                         std::to_string(b) + ")";
+      std::string what;
+      if (action == 0 || current.empty()) {
+        what = "edb_assert(" + fact + ")";
+        current.emplace_back(a, b);
+      } else if (action == 1) {
+        const size_t victim = rng.Below(current.size());
+        fact = "edge(" + std::to_string(current[victim].first) + ", " +
+               std::to_string(current[victim].second) + ")";
+        current.erase(current.begin() + static_cast<ptrdiff_t>(victim));
+        what = "edb_retract(" + fact + ")";
+      } else {
+        what = "";
+        current.emplace_back(a, b);
+        ASSERT_TRUE(pair.wam.StoreFactsExternal(fact + ".").ok());
+        ASSERT_TRUE(pair.bottom_up.StoreFactsExternal(fact + ".").ok());
+      }
+      if (!what.empty()) {
+        for (Engine* engine : {&pair.wam, &pair.bottom_up}) {
+          auto done = engine->Succeeds(what);
+          ASSERT_TRUE(done.ok()) << what << ": " << done.status();
+          ASSERT_TRUE(*done) << what;
+        }
+      }
+      const std::string goals[] = {"path(X, Y)",
+                                   "path(" + std::to_string(a) + ", Y)",
+                                   "path(X, " + std::to_string(b) + ")"};
+      pair.ExpectSameSolutions(goals[step % 3]);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "seed " << seed << " step " << step << " after "
+               << (what.empty() ? "storing " + fact : what);
+      }
+    }
+    EXPECT_GE(pair.bottom_up.Stats().datalog.queries_bottom_up, 24u);
+  }
+}
+
+TEST(DatalogEngineTest, WarmQueriesReadNoStoreRows) {
+  EngineOptions options;
+  options.datalog = true;
+  Engine engine(options);
+  ASSERT_TRUE(
+      GraphWorkload::StoreEdges(&engine, "edge", GraphWorkload::Chain(10))
+          .ok());
+  ASSERT_TRUE(engine.Consult(kClosureRules).ok());
+  auto scans = [&] { return engine.Stats().clause_store.bulk_fact_scans.load(); };
+  auto store_rows = [&] { return engine.Stats().datalog.edb_rows; };
+
+  const uint64_t scans0 = scans();
+  EXPECT_EQ(SolutionSet(&engine, "path(0, Y)").size(), 9u);
+  EXPECT_EQ(scans(), scans0 + 1);
+  EXPECT_EQ(store_rows(), 9u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(SolutionSet(&engine, "path(0, Y)").size(), 9u);
+    EXPECT_EQ(SolutionSet(&engine, "path(X, Y)").size(), 45u);
+    EXPECT_EQ(SolutionSet(&engine, "path(X, 5)").size(), 5u);
+  }
+  EXPECT_EQ(scans(), scans0 + 1) << "a warm query re-scanned edge/2";
+  EXPECT_EQ(store_rows(), 9u) << "a warm query read rows from the store";
+
+  // Each mutation costs the next query exactly one scan of the relation.
+  const std::string mutations[] = {"edb_assert(edge(9, 10))", "",
+                                   "edb_retract(edge(0, 1))"};
+  const uint64_t edges_after[] = {10, 11, 10};
+  uint64_t rows = store_rows();
+  for (int m = 0; m < 3; ++m) {
+    if (mutations[m].empty()) {
+      ASSERT_TRUE(engine.StoreFactsExternal("edge(10, 11).").ok());
+    } else {
+      auto done = engine.Succeeds(mutations[m]);
+      ASSERT_TRUE(done.ok() && *done) << mutations[m];
+    }
+    const uint64_t before = scans();
+    EXPECT_FALSE(SolutionSet(&engine, "path(X, Y)").empty());
+    EXPECT_EQ(scans(), before + 1) << "mutation " << m;
+    EXPECT_EQ(store_rows(), rows + edges_after[m]) << "mutation " << m;
+    rows = store_rows();
+    EXPECT_FALSE(SolutionSet(&engine, "path(1, Y)").empty());
+    EXPECT_EQ(scans(), before + 1) << "mutation " << m;
+  }
+}
+
+TEST(DatalogEngineTest, EdbCacheBytesAreReported) {
+  EngineOptions options;
+  options.datalog = true;
+  Engine engine(options);
+  ASSERT_TRUE(
+      GraphWorkload::StoreEdges(&engine, "edge", GraphWorkload::Chain(10))
+          .ok());
+  ASSERT_TRUE(engine.Consult(kClosureRules).ok());
+  const EngineMemoryReport cold = engine.Stats().memory;
+  EXPECT_EQ(cold.datalog_edb_cache_bytes, 0u);
+
+  EXPECT_EQ(SolutionSet(&engine, "path(0, Y)").size(), 9u);
+  const EngineMemoryReport warm = engine.Stats().memory;
+  // Nine edge/2 rows of two int64 columns, at least.
+  EXPECT_GE(warm.datalog_edb_cache_bytes, 9u * 2u * sizeof(int64_t));
+  // Heap, not file: neither on-disk gauge moves.
+  EXPECT_EQ(warm.paged_file_bytes, cold.paged_file_bytes);
+  EXPECT_EQ(warm.wal_file_bytes, cold.wal_file_bytes);
+  const std::string json = engine.ExportMetricsJson();
+  EXPECT_NE(json.find("\"datalog_edb_cache_bytes\":" +
+                      std::to_string(warm.datalog_edb_cache_bytes)),
+            std::string::npos)
+      << json;
+
+  auto done = engine.Succeeds("edb_assert(edge(9, 10))");
+  ASSERT_TRUE(done.ok() && *done);
+  EXPECT_EQ(engine.Stats().memory.datalog_edb_cache_bytes, 0u);
+}
+
+TEST(DatalogEngineTest, DictionarySweepDropsCachedEdbRows) {
+  // Cached EDB rows hold atom ids. A sweep frees the atoms no program
+  // code references (here every node name) and later symbols may take
+  // their slots, so rows cached before it would decode as other atoms.
+  EngineOptions options;
+  options.datalog = true;
+  Engine engine(options);
+  ASSERT_TRUE(
+      engine.StoreFactsExternal("edge(a, b). edge(b, c). edge(c, d).").ok());
+  ASSERT_TRUE(engine.Consult(kClosureRules).ok());
+  const std::set<std::string> expected = {"Y=b", "Y=c", "Y=d"};
+  EXPECT_EQ(SolutionSet(&engine, "path(a, Y)"), expected);
+
+  auto swept = engine.CollectDictionary();
+  ASSERT_TRUE(swept.ok()) << swept.status();
+  EXPECT_GT(*swept, 0u);
+  EXPECT_EQ(engine.Stats().memory.datalog_edb_cache_bytes, 0u);
+  std::string filler;
+  for (int i = 0; i < 300; ++i) {
+    filler += "f" + std::to_string(i) + "(x" + std::to_string(i) + ").\n";
+  }
+  ASSERT_TRUE(engine.Consult(filler).ok());
+  EXPECT_EQ(SolutionSet(&engine, "path(a, Y)"), expected);
 }
 
 TEST(DatalogEngineTest, EvaluatorStatsSurfaceIterationCounters) {
