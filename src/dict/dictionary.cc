@@ -43,17 +43,22 @@ std::optional<uint32_t> Dictionary::FindInSegment(const Segment& seg,
   return std::nullopt;
 }
 
-std::optional<SymbolId> Dictionary::Lookup(std::string_view name,
-                                           uint32_t arity) const {
-  std::shared_lock<obs::TrackedSharedMutex> lock(mu_);
-  ++stats_.lookups;
-  const uint64_t hash = base::HashFunctor(name, arity);
+std::optional<SymbolId> Dictionary::FindAnywhere(std::string_view name,
+                                                 uint32_t arity,
+                                                 uint64_t hash) const {
   for (uint32_t s = 0; s < segments_.size(); ++s) {
     if (auto idx = FindInSegment(segments_[s], name, arity, hash)) {
       return PackId(s, *idx, slot_bits_);
     }
   }
   return std::nullopt;
+}
+
+std::optional<SymbolId> Dictionary::Lookup(std::string_view name,
+                                           uint32_t arity) const {
+  std::shared_lock<obs::TrackedSharedMutex> lock(mu_);
+  ++stats_.lookups;
+  return FindAnywhere(name, arity, base::HashFunctor(name, arity));
 }
 
 uint32_t Dictionary::PickHotSegment() {
@@ -83,14 +88,17 @@ uint32_t Dictionary::PickHotSegment() {
 
 base::Result<SymbolId> Dictionary::Intern(std::string_view name,
                                           uint32_t arity) {
-  std::unique_lock<obs::TrackedSharedMutex> lock(mu_);
   const uint64_t hash = base::HashFunctor(name, arity);
-  // Existing entry anywhere wins: ids must be unique per (name, arity).
-  for (uint32_t s = 0; s < segments_.size(); ++s) {
-    if (auto idx = FindInSegment(segments_[s], name, arity, hash)) {
-      return PackId(s, *idx, slot_bits_);
-    }
+  {
+    // Most interns name a symbol that already exists: find it under the
+    // shared latch, so concurrent sessions do not serialize on hits.
+    std::shared_lock<obs::TrackedSharedMutex> lock(mu_);
+    if (auto id = FindAnywhere(name, arity, hash)) return *id;
   }
+  std::unique_lock<obs::TrackedSharedMutex> lock(mu_);
+  // Existing entry anywhere wins: ids must be unique per (name, arity).
+  // Probe again, since another thread may have inserted it in between.
+  if (auto id = FindAnywhere(name, arity, hash)) return *id;
 
   if (segments_.size() >= (1u << (32 - slot_bits_))) {
     return base::Status::ResourceExhausted("dictionary id space exhausted");

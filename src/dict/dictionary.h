@@ -52,12 +52,14 @@ struct DictionaryStats {
 ///     segment, with a fast FNV-1a key-to-address transform.
 ///
 /// Thread safety: all operations are internally latched by a
-/// reader-writer lock — Intern/Remove take the write side, lookups the
-/// read side — so concurrent worker sessions may intern and resolve
-/// symbols against one shared dictionary (DESIGN.md §10). `string_view`s
-/// returned by NameOf stay valid across growth (slots are never
-/// relocated) but not across Remove of that same symbol; removal only
-/// happens in dictionary GC, which requires all sessions to be retired.
+/// reader-writer lock — lookups take the read side, Remove the write
+/// side, and Intern the read side to find an existing entry and the
+/// write side only to insert a new one — so concurrent worker sessions
+/// may intern and resolve symbols against one shared dictionary
+/// (DESIGN.md §10). `string_view`s returned by NameOf stay valid across
+/// growth (slots are never relocated) but not across Remove of that same
+/// symbol; removal only happens in dictionary GC, which requires all
+/// sessions to be retired.
 class Dictionary {
  public:
   struct Options {
@@ -148,6 +150,11 @@ class Dictionary {
   std::optional<uint32_t> FindInSegment(const Segment& seg,
                                         std::string_view name, uint32_t arity,
                                         uint64_t hash) const;
+
+  // Id of the live entry for (name, arity, hash) in any segment, or
+  // nullopt. The caller holds mu_ (either side).
+  std::optional<SymbolId> FindAnywhere(std::string_view name, uint32_t arity,
+                                       uint64_t hash) const;
 
   // Index of the segment new insertions should target, allocating a new
   // segment if every existing one is past the high-water mark.

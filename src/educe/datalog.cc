@@ -1,6 +1,6 @@
 #include "educe/datalog.h"
 
-#include <algorithm>
+#include <optional>
 #include <tuple>
 #include <unordered_map>
 
@@ -72,13 +72,15 @@ struct DatalogManager::Plan {
   uint64_t epoch = 0;  // catalog epoch at compile start
 };
 
-/// One EDB relation's encoded rows, read at `version` of `proc`. Never
-/// mutated once published, so evaluations read it without mu_.
-struct DatalogManager::EdbRows {
-  const edb::ProcedureInfo* proc = nullptr;
+/// One EDB relation, read at `version` of `proc`. Its rows never change
+/// once published, so evaluations borrow it without mu_; they build its
+/// column indexes lazily, each at most once (rel::datalog::Relation).
+struct DatalogManager::EdbEntry {
+  EdbEntry(const edb::ProcedureInfo* p, uint32_t arity)
+      : proc(p), relation(arity) {}
+  const edb::ProcedureInfo* proc;
   uint64_t version = 0;
-  uint64_t count = 0;
-  std::vector<int64_t> rows;  // `count` rows of the relation's arity
+  rdl::Relation relation;
 };
 
 DatalogManager::DatalogManager(dict::Dictionary* dictionary,
@@ -154,7 +156,7 @@ uint64_t DatalogManager::EdbCacheBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t bytes = 0;
   for (const auto& [key, entry] : edb_cache_) {
-    bytes += entry->rows.capacity() * sizeof(int64_t);
+    bytes += entry->relation.MemoryBytes();
   }
   return bytes;
 }
@@ -164,14 +166,13 @@ void DatalogManager::ClearEdbCache() {
   edb_cache_.clear();
 }
 
-base::Status DatalogManager::LoadEdb(
-    const PredKey& key, uint32_t width,
-    const rdl::Evaluator::EmitFn& emit, uint64_t* rows_read) {
+base::Result<std::shared_ptr<const rdl::Relation>> DatalogManager::LoadEdb(
+    const PredKey& key, uint64_t* rows_read) {
   edb::ProcedureInfo* proc = store_->Find(key.first, key.second);
   if (proc == nullptr) {
     return base::Status::Unsupported("datalog: relation dropped");
   }
-  std::shared_ptr<const EdbRows> entry;
+  std::shared_ptr<const EdbEntry> entry;
   {
     // The version may move right after this read; the entry is then
     // still the relation as of a moment before that mutation.
@@ -184,33 +185,33 @@ base::Status DatalogManager::LoadEdb(
     }
   }
   if (entry == nullptr) {
-    auto fresh = std::make_shared<EdbRows>();
-    fresh->proc = proc;
+    auto fresh = std::make_shared<EdbEntry>(proc, key.second);
+    std::vector<int64_t> row(key.second);
+    uint64_t read = 0;
     EDUCE_ASSIGN_OR_RETURN(
         fresh->version,
         store_->ScanAllFacts(proc, [&](const term::Ast& fact)
                                        -> base::Status {
-          for (uint32_t i = 0; i < width; ++i) {
+          for (uint32_t i = 0; i < key.second; ++i) {
             EDUCE_ASSIGN_OR_RETURN(rdl::Term t, EncodeArg(*fact.args[i]));
             if (t.is_var) {
               return base::Status::Unsupported("datalog: non-ground EDB fact");
             }
-            fresh->rows.push_back(t.value);
+            row[i] = t.value;
           }
-          ++fresh->count;
+          fresh->relation.Insert(row.data());
+          ++read;
           return base::Status::OK();
         }));
-    *rows_read += fresh->count;
+    *rows_read += read;
     // A mutation that landed after the scan has already run the listener;
     // the stale version recorded here keeps this entry from being used.
     std::lock_guard<std::mutex> lock(mu_);
     edb_cache_[key] = fresh;
     entry = std::move(fresh);
   }
-  for (uint64_t i = 0; i < entry->count; ++i) {
-    EDUCE_RETURN_IF_ERROR(emit(entry->rows.data() + i * width));
-  }
-  return base::Status::OK();
+  // Aliases the entry: the relation lives as long as any borrower.
+  return std::shared_ptr<const rdl::Relation>(entry, &entry->relation);
 }
 
 base::Result<std::shared_ptr<DatalogManager::Plan>> DatalogManager::Compile(
@@ -478,40 +479,44 @@ base::Result<DatalogManager::Answer> DatalogManager::TryQuery(
   }
 
   // Evaluate on the evaluator's own arenas; the only shared state
-  // touched is the EDB cache and, on a miss, the clause store's latched
-  // bulk scan.
+  // touched is the EDB cache (whose relations the evaluation borrows and
+  // may index) and, on a miss, the clause store's latched bulk scan.
   rdl::Evaluator eval(&plan->program, rdl::EvalOptions{});
   uint64_t store_rows = 0;
   base::Status eval_status;
   {
     obs::ScopedSpan span(tracer_, obs::SpanKind::kDatalog,
                          dictionary_->HashOf(goal.functor));
-    eval_status = eval.Run([&](uint32_t pred, uint32_t width,
-                               const rdl::Evaluator::EmitFn& emit)
-                               -> base::Status {
-      if (pred == plan->seed_pred) {
-        std::vector<int64_t> seed(width == 0 ? 1 : width, 0);
-        for (size_t i = 0; i < plan->seed_positions.size(); ++i) {
-          EDUCE_ASSIGN_OR_RETURN(
-              rdl::Term t, EncodeArg(*goal.args[plan->seed_positions[i]]));
-          seed[i] = t.value;
-        }
-        return emit(seed.data());
-      }
-      auto src = plan->edb_sources.find(pred);
-      if (src == plan->edb_sources.end()) {
-        return base::Status::Internal("datalog: EDB pred without source");
-      }
-      return LoadEdb(src->second, width, emit, &store_rows);
-    });
+    eval_status = eval.Run(
+        [&](uint32_t pred)
+            -> base::Result<std::shared_ptr<const rdl::Relation>> {
+          if (pred == plan->seed_pred) {
+            // The magic seed: one row of the goal's bound constants.
+            std::vector<int64_t> row;
+            for (size_t position : plan->seed_positions) {
+              EDUCE_ASSIGN_OR_RETURN(rdl::Term t,
+                                     EncodeArg(*goal.args[position]));
+              row.push_back(t.value);
+            }
+            auto seed = std::make_shared<rdl::Relation>(
+                static_cast<uint32_t>(row.size()));
+            seed->Insert(row.data());
+            return std::shared_ptr<const rdl::Relation>(std::move(seed));
+          }
+          auto src = plan->edb_sources.find(pred);
+          if (src == plan->edb_sources.end()) {
+            return base::Status::Internal("datalog: EDB pred without source");
+          }
+          return LoadEdb(src->second, &store_rows);
+        });
   }
   if (!eval_status.ok()) {
     if (IsUnsupported(eval_status)) return fallback();
     return eval_status;
   }
 
-  // Post-filter the query relation against the goal's constants and
-  // repeated variables, project the named variables, dedup and sort.
+  // Filter the query relation against the goal's constants and repeated
+  // variables and project the named variables, in derivation order.
   std::vector<std::pair<int64_t, int>> const_cols;   // col == value
   std::vector<std::pair<int, int>> eq_cols;          // col == col
   std::map<uint32_t, int> var_first;
@@ -533,75 +538,55 @@ base::Result<DatalogManager::Answer> DatalogManager::TryQuery(
     }
     out_cols.push_back(it->second);
   }
-
-  // Projected rows land in one flat arena; sort + unique over row
-  // indices gives set semantics without the per-row node allocations a
-  // tree set would cost — at closure scale (millions of rows) that
-  // difference dominates the whole answer-materialization phase.
-  const size_t out_width = out_cols.size();
-  std::vector<int64_t> arena;
-  eval.Visit(plan->query_pred, [&](const int64_t* row) {
+  auto matches = [&](const int64_t* row) {
     for (const auto& [value, col] : const_cols) {
-      if (row[col] != value) return true;
+      if (row[col] != value) return false;
     }
     for (const auto& [a, b] : eq_cols) {
-      if (row[a] != row[b]) return true;
+      if (row[a] != row[b]) return false;
     }
-    for (size_t i = 0; i < out_width; ++i) arena.push_back(row[out_cols[i]]);
     return true;
-  });
+  };
 
   answer.handled = true;
-  if (out_width == 0) {
-    // No named variables: the answer is a bare yes (one empty row) iff
-    // any tuple survives the filters. The projection loop above pushed
-    // nothing, so probe again with an early stop.
-    bool any = false;
+  answer.width = static_cast<uint32_t>(out_cols.size());
+  if (out_cols.empty()) {
+    // No named variables: a bare yes (one empty row) iff any tuple
+    // survives the filters.
     eval.Visit(plan->query_pred, [&](const int64_t* row) {
-      for (const auto& [value, col] : const_cols) {
-        if (row[col] != value) return true;
-      }
-      for (const auto& [a, b] : eq_cols) {
-        if (row[a] != row[b]) return true;
-      }
-      any = true;
-      return false;
+      if (matches(row)) answer.count = 1;
+      return answer.count == 0;
     });
-    if (any) answer.rows.emplace_back();
   } else {
-    const size_t n_rows = arena.size() / out_width;
-    std::vector<uint64_t> order(n_rows);
-    for (uint64_t i = 0; i < n_rows; ++i) order[i] = i;
-    auto row_less = [&](uint64_t a, uint64_t b) {
-      const int64_t* ra = arena.data() + a * out_width;
-      const int64_t* rb = arena.data() + b * out_width;
-      return std::lexicographical_compare(ra, ra + out_width, rb,
-                                          rb + out_width);
-    };
-    auto row_eq = [&](uint64_t a, uint64_t b) {
-      return std::equal(arena.data() + a * out_width,
-                        arena.data() + (a + 1) * out_width,
-                        arena.data() + b * out_width);
-    };
-    std::sort(order.begin(), order.end(), row_less);
-    order.erase(std::unique(order.begin(), order.end(), row_eq), order.end());
-
-    // Decode each distinct constant once; closure answers repeat the
-    // same node ids millions of times and the ASTs are immutable, so
-    // sharing them is safe and collapses the allocation count.
-    std::unordered_map<int64_t, term::AstPtr> decoded_cache;
-    answer.rows.reserve(order.size());
-    for (uint64_t index : order) {
-      const int64_t* row = arena.data() + index * out_width;
-      std::vector<term::AstPtr> decoded;
-      decoded.reserve(out_width);
-      for (size_t i = 0; i < out_width; ++i) {
-        auto [it, fresh] = decoded_cache.emplace(row[i], nullptr);
-        if (fresh) it->second = DecodeConstant(row[i]);
-        decoded.push_back(it->second);
-      }
-      answer.rows.push_back(std::move(decoded));
+    // The query relation holds each tuple once, and surviving rows agree
+    // on the constant and repeated columns, so the projection keeps them
+    // distinct unless it drops the column of a variable no name covers
+    // (an `_`): only then does it need a set to stay duplicate-free.
+    std::optional<rdl::RowSet> seen;
+    if (out_cols.size() < var_first.size()) {
+      seen.emplace(answer.width);
+    } else if (const_cols.empty() && eq_cols.empty()) {
+      // Every tuple is an answer: the size is known up front.
+      answer.cells.reserve(eval.TupleCount(plan->query_pred) * answer.width);
     }
+    std::vector<int64_t> projected(out_cols.size());
+    // Decode each distinct constant once; answers repeat the same node
+    // ids many times and the ASTs are immutable, so sharing is safe.
+    std::unordered_map<int64_t, term::AstPtr> decoded;
+    eval.Visit(plan->query_pred, [&](const int64_t* row) {
+      if (!matches(row)) return true;
+      for (size_t i = 0; i < out_cols.size(); ++i) {
+        projected[i] = row[out_cols[i]];
+      }
+      if (seen && !seen->Insert(projected.data())) return true;
+      for (int64_t value : projected) {
+        auto [it, fresh] = decoded.try_emplace(value);
+        if (fresh) it->second = DecodeConstant(value);
+        answer.cells.push_back(it->second);
+      }
+      ++answer.count;
+      return true;
+    });
   }
 
   {

@@ -60,14 +60,16 @@ struct DatalogStats {
 /// pairs to rel::datalog programs with magic-set rewriting, caches the
 /// plans with push invalidation off the clause store's mutation
 /// listeners, and runs queries through rel::datalog::Evaluator. EDB
-/// relations come from an EDB cache: one flat row vector per relation,
-/// filled by one ClauseStore::ScanAllFacts and used while the
-/// procedure's version still matches.
+/// relations come from an EDB cache: one shared rel::datalog::Relation
+/// per relation (deduplicated rows plus column indexes built on first
+/// probe), filled by one ClauseStore::ScanAllFacts and borrowed by every
+/// evaluation while the procedure's version still matches.
 ///
 /// Thread safety: all public methods latch an internal mutex; each
-/// evaluation owns its arenas, cache entries are immutable once
-/// published, and the bulk fact scan takes the clause store's read
-/// latch, so concurrent sessions may answer bottom-up queries in
+/// evaluation owns its IDB arenas, cache entries' rows are immutable once
+/// published (their column indexes build under per-column once flags,
+/// outside the mutex), and the bulk fact scan takes the clause store's
+/// read latch, so concurrent sessions may answer bottom-up queries in
 /// parallel.
 class DatalogManager {
  public:
@@ -93,9 +95,13 @@ class DatalogManager {
   /// Result of offering a goal to the bottom-up path.
   struct Answer {
     bool handled = false;  // false: run it on the WAM instead
-    /// One row per solution, aligned with `read.var_names` order, sorted
-    /// and deduplicated (set semantics).
-    std::vector<std::vector<term::AstPtr>> rows;
+    /// The solutions, each once (set semantics), in the order the query
+    /// relation first derived them, which is deterministic. Row-major:
+    /// solution r binds the i-th variable of `read.var_names` to
+    /// cells[r * width + i].
+    std::vector<term::AstPtr> cells;
+    uint32_t width = 0;  // named variables per solution
+    uint64_t count = 0;  // solutions; with width 0, 1 means "true"
   };
 
   /// Offers a parsed goal to the bottom-up path. handled=false (with OK
@@ -106,7 +112,8 @@ class DatalogManager {
 
   DatalogStats stats() const;
 
-  /// Bytes held by the EDB cache's row vectors.
+  /// Bytes held by the EDB cache's relations: row arenas, hash slots and
+  /// every column index built so far.
   uint64_t EdbCacheBytes() const;
 
   /// Drops every EDB cache entry. The cached rows hold atom SymbolIds, so
@@ -115,7 +122,7 @@ class DatalogManager {
 
  private:
   struct Plan;
-  struct EdbRows;
+  struct EdbEntry;
 
   using PredKey = std::pair<std::string, uint32_t>;  // name, arity
 
@@ -131,14 +138,13 @@ class DatalogManager {
 
   void InvalidateDependents(const PredKey& key);
 
-  /// Feeds the rows of EDB relation `key` to `emit`: from its cache entry
-  /// when that was read at the procedure's current version, otherwise
-  /// from one bulk scan that replaces the entry. Adds the rows read from
-  /// the store to `*rows_read`. Takes mu_ only around the cache lookup
-  /// and the publish, never across the store call.
-  base::Status LoadEdb(const PredKey& key, uint32_t width,
-                       const rel::datalog::Evaluator::EmitFn& emit,
-                       uint64_t* rows_read);
+  /// The relation of EDB predicate `key`: its cache entry when that was
+  /// read at the procedure's current version, otherwise one bulk scan
+  /// that replaces the entry. Adds the rows read from the store to
+  /// `*rows_read`. Takes mu_ only around the cache lookup and the
+  /// publish, never across the store call.
+  base::Result<std::shared_ptr<const rel::datalog::Relation>> LoadEdb(
+      const PredKey& key, uint64_t* rows_read);
 
   dict::Dictionary* dictionary_;
   edb::ClauseStore* store_;
@@ -153,7 +159,7 @@ class DatalogManager {
   std::map<PredKey, std::vector<term::AstPtr>> catalog_;
   std::map<PredKey, DatalogStrategy> strategies_;
   std::map<PlanKey, std::shared_ptr<Plan>> plans_;
-  std::map<PredKey, std::shared_ptr<const EdbRows>> edb_cache_;
+  std::map<PredKey, std::shared_ptr<const EdbEntry>> edb_cache_;
   DatalogStats stats_;
 };
 

@@ -729,8 +729,8 @@ base::Result<std::unique_ptr<Solutions>> Engine::Query(std::string_view goal,
     EDUCE_ASSIGN_OR_RETURN(DatalogManager::Answer answer,
                            datalog_->TryQuery(read));
     if (answer.handled) {
-      std::unique_ptr<Solutions> solutions(new Solutions(
-          &dictionary_, std::move(read), std::move(answer.rows)));
+      std::unique_ptr<Solutions> solutions(
+          new Solutions(&dictionary_, std::move(read), std::move(answer)));
       query_active_ = true;
       solutions->query_active_flag_ = &query_active_;
       solutions->trace_id_ = trace_id;
@@ -877,7 +877,7 @@ base::Result<std::unique_ptr<Solutions>> Session::Query(std::string_view goal,
                            engine_->datalog_->TryQuery(read));
     if (answer.handled) {
       std::unique_ptr<Solutions> solutions(new Solutions(
-          &engine_->dictionary_, std::move(read), std::move(answer.rows)));
+          &engine_->dictionary_, std::move(read), std::move(answer)));
       query_active_ = true;
       solutions->query_active_flag_ = &query_active_;
       solutions->trace_id_ = trace_id;
@@ -1397,7 +1397,7 @@ base::Result<bool> Solutions::Next() {
     // Materialized mode: the bottom-up evaluator computed the whole set
     // up front; row_cursor_ is one past the current row (0 = before the
     // first Next).
-    if (row_cursor_ < rows_.size()) {
+    if (row_cursor_ < row_count_) {
       ++row_cursor_;
       ++solutions_seen_;
       return true;
@@ -1417,15 +1417,18 @@ base::Result<bool> Solutions::Next() {
   return more;
 }
 
+term::AstPtr Solutions::MaterializedCell(size_t position) const {
+  if (row_cursor_ == 0 || row_cursor_ > row_count_ || position >= width_) {
+    return nullptr;
+  }
+  return cells_[(row_cursor_ - 1) * width_ + position];
+}
+
 term::AstPtr Solutions::BindingAst(std::string_view name) const {
   if (machine_ == nullptr) {
-    if (row_cursor_ == 0 || row_cursor_ > rows_.size()) return nullptr;
-    const std::vector<term::AstPtr>& row = rows_[row_cursor_ - 1];
     size_t position = 0;
     for (const auto& [var_name, index] : read_.var_names) {
-      if (var_name == name) {
-        return position < row.size() ? row[position] : nullptr;
-      }
+      if (var_name == name) return MaterializedCell(position);
       ++position;
     }
     return nullptr;
@@ -1448,14 +1451,11 @@ std::string Solutions::Binding(std::string_view name) const {
 std::map<std::string, std::string> Solutions::All() const {
   std::map<std::string, std::string> out;
   if (machine_ == nullptr) {
-    if (row_cursor_ == 0 || row_cursor_ > rows_.size()) return out;
-    const std::vector<term::AstPtr>& row = rows_[row_cursor_ - 1];
     size_t position = 0;
     for (const auto& [var_name, index] : read_.var_names) {
-      if (position < row.size() && row[position] != nullptr) {
-        out[var_name] = reader::WriteTerm(*dictionary_, *row[position]);
+      if (term::AstPtr cell = MaterializedCell(position++)) {
+        out[var_name] = reader::WriteTerm(*dictionary_, *cell);
       }
-      ++position;
     }
     return out;
   }

@@ -188,15 +188,22 @@ class Solutions {
       : machine_(machine), dictionary_(dictionary), read_(std::move(read)) {}
 
   /// Materialized mode (bottom-up Datalog, DESIGN.md §15): the solution
-  /// set was computed up front; Next() walks `rows`, each row aligned
-  /// with read.var_names order. No machine is borrowed — machine_ stays
-  /// null and the owner's query_active flag still serializes queries.
+  /// set was computed up front; Next() walks the answer's rows, each
+  /// aligned with read.var_names order. No machine is borrowed — machine_
+  /// stays null and the owner's query_active flag still serializes
+  /// queries.
   Solutions(const dict::Dictionary* dictionary, reader::ReadTerm read,
-            std::vector<std::vector<term::AstPtr>> rows)
+            DatalogManager::Answer answer)
       : machine_(nullptr),
         dictionary_(dictionary),
         read_(std::move(read)),
-        rows_(std::move(rows)) {}
+        cells_(std::move(answer.cells)),
+        width_(answer.width),
+        row_count_(answer.count) {}
+
+  /// The current row's binding of the var_names entry at `position`, or
+  /// nullptr before the first or after the last row.
+  term::AstPtr MaterializedCell(size_t position) const;
 
   /// Clears the owner's query_active flag exactly once — at the first
   /// terminal Next (exhausted or error) or at destruction, whichever
@@ -211,10 +218,13 @@ class Solutions {
   /// Set by Engine/Session::Query right after construction; Next()
   /// re-installs it as the thread's current trace id for each pump.
   uint64_t trace_id_ = 0;
-  /// Materialized mode only: precomputed solution rows and the cursor
-  /// (index one past the current row; 0 = before the first Next()).
-  std::vector<std::vector<term::AstPtr>> rows_;
-  size_t row_cursor_ = 0;
+  /// Materialized mode only: precomputed solutions, row-major with
+  /// width_ cells a row, and the cursor (index one past the current row;
+  /// 0 = before the first Next()).
+  std::vector<term::AstPtr> cells_;
+  uint32_t width_ = 0;
+  uint64_t row_count_ = 0;
+  uint64_t row_cursor_ = 0;
   uint64_t solutions_seen_ = 0;
   /// The owner's one-Solutions-per-machine flag (Engine::query_active_
   /// or Session::query_active_), cleared via ReleaseMachine.

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
 #include <set>
 #include <utility>
 
 namespace educe::rel::datalog {
 
 namespace {
-
-// Width of the stored relation for a predicate: nullary predicates get one
-// synthetic constant-0 column, so every tuple occupies an arena row.
-uint32_t WidthOf(const Predicate& pred) {
-  return pred.arity == 0 ? 1 : pred.arity;
-}
 
 std::string PredName(const Program& program, uint32_t pred) {
   if (pred < program.preds.size() && !program.preds[pred].name.empty()) {
@@ -379,59 +374,92 @@ bool RowSet::Insert(const int64_t* row) {
   return true;
 }
 
+uint64_t RowSet::MemoryBytes() const {
+  return arena_.capacity() * sizeof(int64_t) +
+         slots_.capacity() * sizeof(uint64_t);
+}
+
+// ---------------------------------------------------------------------------
+// ColumnIndex, Relation
+
+void ColumnIndex::Extend(const RowSet& rows, uint64_t end) {
+  for (uint64_t r = next_.size(); r < end; ++r) {
+    const int64_t* key = rows.RowAt(r) + column_;
+    const uint64_t k = keys_.Find(key);
+    if (k == RowSet::kNotFound) {
+      keys_.Insert(key);
+      head_.push_back(r);
+      tail_.push_back(r);
+    } else {
+      next_[tail_[k]] = r;
+      tail_[k] = r;
+    }
+    next_.push_back(kEnd);
+  }
+}
+
+uint64_t ColumnIndex::MemoryBytes() const {
+  return keys_.MemoryBytes() +
+         (head_.capacity() + tail_.capacity() + next_.capacity()) *
+             sizeof(uint64_t);
+}
+
+struct Relation::Column {
+  std::once_flag once;
+  std::unique_ptr<ColumnIndex> index;
+};
+
+Relation::Relation(uint32_t arity)
+    : arity_(arity),
+      rows_(arity == 0 ? 1 : arity),
+      columns_(std::make_unique<Column[]>(rows_.width())) {}
+
+Relation::~Relation() = default;
+
+bool Relation::Insert(const int64_t* row) {
+  static constexpr int64_t kPadding = 0;
+  return rows_.Insert(arity_ == 0 ? &kPadding : row);
+}
+
+const ColumnIndex* Relation::Index(uint32_t column, uint64_t end,
+                                   bool* built) const {
+  Column& slot = columns_[column];
+  std::call_once(slot.once, [&] {
+    slot.index = std::make_unique<ColumnIndex>(column);
+    slot.index->Extend(rows_, end);
+    index_bytes_.fetch_add(slot.index->MemoryBytes());
+    *built = true;
+  });
+  return slot.index.get();
+}
+
+void Relation::ExtendIndexes(uint64_t end) {
+  uint64_t bytes = 0;
+  for (uint32_t c = 0; c < rows_.width(); ++c) {
+    if (columns_[c].index == nullptr) continue;
+    columns_[c].index->Extend(rows_, end);
+    bytes += columns_[c].index->MemoryBytes();
+  }
+  index_bytes_.store(bytes);
+}
+
+uint64_t Relation::MemoryBytes() const {
+  return rows_.MemoryBytes() + index_bytes_.load();
+}
+
 // ---------------------------------------------------------------------------
 // Evaluator
 
-// Hash index on one column of a relation: value -> the ids of the rows
-// holding it, chained in ascending row order. It covers the rows
-// [0, next_.size()) and is extended at every flush, so a probe sees
-// exactly the relation's total.
-class Evaluator::ColumnIndex {
- public:
-  static constexpr uint64_t kEnd = ~uint64_t{0};
-
-  explicit ColumnIndex(uint32_t column) : column_(column), keys_(1) {}
-
-  void Extend(const RowSet& rows, uint64_t end) {
-    for (uint64_t r = next_.size(); r < end; ++r) {
-      const int64_t* key = rows.RowAt(r) + column_;
-      const uint64_t k = keys_.Find(key);
-      if (k == RowSet::kNotFound) {
-        keys_.Insert(key);
-        head_.push_back(r);
-        tail_.push_back(r);
-      } else {
-        next_[tail_[k]] = r;
-        tail_[k] = r;
-      }
-      next_.push_back(kEnd);
-    }
-  }
-
-  /// First row holding `key`, or kEnd.
-  uint64_t First(int64_t key) const {
-    const uint64_t k = keys_.Find(&key);
-    return k == RowSet::kNotFound ? kEnd : head_[k];
-  }
-  /// The next row after `row` with the same key, or kEnd.
-  uint64_t Next(uint64_t row) const { return next_[row]; }
-
- private:
-  uint32_t column_;
-  RowSet keys_;  // distinct values; a value's id indexes head_/tail_
-  std::vector<uint64_t> head_, tail_;
-  std::vector<uint64_t> next_;  // per indexed row: next row with its key
-};
-
 // Rows [0, total_end) are the total as of the last flush and
 // [delta_begin, total_end) the rows that flush added; rows past
-// total_end are this round's derivations, which no join reads yet.
+// total_end are this round's derivations, which no join reads yet. A
+// borrowed EDB relation is complete before the first round: its total is
+// every row, and it never leads a rule variant as a delta.
 struct Evaluator::Rel {
-  explicit Rel(uint32_t width) : rows(width), indexes(width) {}
-  RowSet rows;  // every tuple ever derived, in first-derivation order
+  std::shared_ptr<const Relation> relation;  // what joins read
+  Relation* own = nullptr;  // IDB only: the same relation, writable
   uint64_t total_end = 0;
   uint64_t delta_begin = 0;
-  std::vector<std::unique_ptr<ColumnIndex>> indexes;  // per column, lazy
 };
 
 // A positive body literal: a scan of a row range, or a hash-index probe
@@ -463,31 +491,35 @@ Evaluator::Evaluator(const Program* program, EvalOptions options)
 
 Evaluator::~Evaluator() = default;
 
-base::Status Evaluator::LoadEdb(const EdbLoader& loader) {
+base::Status Evaluator::SetUpRelations(const EdbLoader& loader) {
+  rels_.reserve(program_->preds.size());
   for (uint32_t p = 0; p < program_->preds.size(); ++p) {
-    if (!program_->preds[p].edb) continue;
-    Rel* rel = rels_[p].get();
-    const bool nullary = program_->preds[p].arity == 0;
-    const int64_t padding = 0;
-    auto emit = [&](const int64_t* row) -> base::Status {
-      ++stats_.edb_rows;
-      rel->rows.Insert(nullary ? &padding : row);
-      return base::Status::OK();
-    };
-    EDUCE_RETURN_IF_ERROR(loader(p, program_->preds[p].arity, emit));
-    rel->total_end = rel->rows.size();
+    const Predicate& pred = program_->preds[p];
+    Rel* rel = rels_.emplace_back(std::make_unique<Rel>()).get();
+    if (!pred.edb) {
+      auto own = std::make_shared<Relation>(pred.arity);
+      rel->own = own.get();
+      rel->relation = std::move(own);
+      continue;
+    }
+    EDUCE_ASSIGN_OR_RETURN(rel->relation, loader(p));
+    if (rel->relation == nullptr || rel->relation->arity() != pred.arity) {
+      return base::Status::InvalidArgument(
+          "datalog: loader gave no relation of arity " +
+          std::to_string(pred.arity) + " for " + PredName(*program_, p));
+    }
+    rel->total_end = rel->relation->size();
+    stats_.edb_rows += rel->total_end;
   }
   return base::Status::OK();
 }
 
-const Evaluator::ColumnIndex* Evaluator::IndexOn(Rel* rel, uint32_t column) {
-  std::unique_ptr<ColumnIndex>& index = rel->indexes[column];
-  if (index == nullptr) {
-    index = std::make_unique<ColumnIndex>(column);
-    index->Extend(rel->rows, rel->total_end);
-    ++stats_.index_builds;
-  }
-  return index.get();
+const ColumnIndex* Evaluator::IndexOn(Rel* rel, uint32_t column) {
+  bool built = false;
+  const ColumnIndex* index =
+      rel->relation->Index(column, rel->total_end, &built);
+  if (built) ++stats_.index_builds;
+  return index;
 }
 
 void Evaluator::EvalRule(const Rule& rule, int delta_pos, uint64_t* derived) {
@@ -553,7 +585,7 @@ void Evaluator::EvalRule(const Rule& rule, int delta_pos, uint64_t* derived) {
     const bool is_delta =
         delta_pos >= 0 && body_idx == static_cast<size_t>(delta_pos);
     Step step;
-    step.rows = &rel->rows;
+    step.rows = &rel->relation->rows();
     step.begin = is_delta ? rel->delta_begin : 0;
     step.end = rel->total_end;
     if (step.begin == step.end) return;  // an empty input: no matches
@@ -618,7 +650,7 @@ void Evaluator::EmitHead(RuleJoin* join) {
   // Nullary atoms are stored as one constant-0 column, hence the zero
   // fill before the arguments go in.
   for (const Atom* atom : join->negatives) {
-    const RowSet& rows = rels_[atom->pred]->rows;
+    const RowSet& rows = rels_[atom->pred]->relation->rows();
     join->row.assign(rows.width(), 0);
     for (size_t i = 0; i < atom->args.size(); ++i) {
       join->row[i] = join->Value(atom->args[i]);
@@ -626,11 +658,11 @@ void Evaluator::EmitHead(RuleJoin* join) {
     if (rows.Contains(join->row.data())) return;
   }
   const std::vector<Term>& head_args = join->rule->head.args;
-  join->row.assign(join->head->rows.width(), 0);
+  join->row.resize(head_args.size());
   for (size_t i = 0; i < head_args.size(); ++i) {
     join->row[i] = join->Value(head_args[i]);
   }
-  if (join->head->rows.Insert(join->row.data())) {
+  if (join->head->own->Insert(join->row.data())) {
     ++stats_.tuples_derived;
     ++*join->derived;
   } else {
@@ -643,11 +675,9 @@ uint64_t Evaluator::FlushPending(const std::vector<uint32_t>& members) {
   for (uint32_t p : members) {
     Rel* rel = rels_[p].get();
     rel->delta_begin = rel->total_end;
-    rel->total_end = rel->rows.size();
+    rel->total_end = rel->relation->size();
     flushed += rel->total_end - rel->delta_begin;
-    for (const auto& index : rel->indexes) {
-      if (index != nullptr) index->Extend(rel->rows, rel->total_end);
-    }
+    rel->own->ExtendIndexes(rel->total_end);
   }
   return flushed;
 }
@@ -713,11 +743,10 @@ base::Status Evaluator::Run(const EdbLoader& loader) {
   EDUCE_RETURN_IF_ERROR(Validate(*program_));
   EDUCE_ASSIGN_OR_RETURN(std::vector<uint32_t> strata, Stratify(*program_));
 
-  rels_.reserve(program_->preds.size());
-  for (const Predicate& pred : program_->preds) {
-    rels_.push_back(std::make_unique<Rel>(WidthOf(pred)));
+  if (base::Status status = SetUpRelations(loader); !status.ok()) {
+    rels_.clear();  // no half-built relation for TupleCount or Visit
+    return status;
   }
-  EDUCE_RETURN_IF_ERROR(LoadEdb(loader));
 
   // Group rules by head stratum, evaluate strata in dependency order.
   std::map<uint32_t, std::vector<uint32_t>> by_stratum;
@@ -733,14 +762,14 @@ base::Status Evaluator::Run(const EdbLoader& loader) {
 
 uint64_t Evaluator::TupleCount(uint32_t pred) const {
   if (pred >= rels_.size()) return 0;
-  return rels_[pred]->rows.size();
+  return rels_[pred]->relation->size();
 }
 
 std::vector<std::vector<int64_t>> Evaluator::Tuples(uint32_t pred) const {
   std::vector<std::vector<int64_t>> out;
   if (pred >= rels_.size()) return out;
-  const RowSet& rows = rels_[pred]->rows;
-  const uint32_t width = program_->preds[pred].arity == 0 ? 0 : rows.width();
+  const RowSet& rows = rels_[pred]->relation->rows();
+  const uint32_t width = program_->preds[pred].arity;
   out.reserve(rows.size());
   for (uint64_t i = 0; i < rows.size(); ++i) {
     const int64_t* row = rows.RowAt(i);
@@ -752,7 +781,7 @@ std::vector<std::vector<int64_t>> Evaluator::Tuples(uint32_t pred) const {
 void Evaluator::Visit(
     uint32_t pred, const std::function<bool(const int64_t* row)>& fn) const {
   if (pred >= rels_.size()) return;
-  const RowSet& rows = rels_[pred]->rows;
+  const RowSet& rows = rels_[pred]->relation->rows();
   for (uint64_t i = 0; i < rows.size(); ++i) {
     if (!fn(rows.RowAt(i))) return;
   }

@@ -1,6 +1,7 @@
 #ifndef EDUCE_REL_DATALOG_H_
 #define EDUCE_REL_DATALOG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -80,8 +81,8 @@ base::Status Validate(const Program& program);
 base::Result<std::vector<uint32_t>> Stratify(const Program& program);
 
 /// Result of the magic-set rewrite. `seed_pred` is a fresh EDB predicate
-/// of arity = number of bound positions; the caller feeds it the single
-/// tuple of bound query constants through the loader. When no rewrite
+/// of arity = number of bound positions; the caller's loader supplies it
+/// as a one-row relation of the bound query constants. When no rewrite
 /// applies (adornment all-free) the program is returned unchanged and
 /// `seed_pred` is kNoPred.
 struct MagicProgram {
@@ -109,9 +110,9 @@ struct EvalStats {
   uint64_t tuples_derived = 0;     // distinct tuples added to IDB totals
   uint64_t join_rows = 0;          // complete rule body matches
   uint64_t join_probes = 0;        // hash-index lookups in join loops
-  uint64_t index_builds = 0;       // column hash indexes built
+  uint64_t index_builds = 0;       // column hash indexes this run built
   uint64_t dedup_hits = 0;         // derivations rejected as duplicates
-  uint64_t edb_rows = 0;           // rows fed by the loader
+  uint64_t edb_rows = 0;           // rows of the EDB relations read
   std::vector<uint64_t> delta_sizes;  // new tuples per completed round
   std::vector<uint64_t> per_stratum_tuples;  // tuples derived per stratum
 };
@@ -136,6 +137,9 @@ class RowSet {
   uint32_t width() const { return width_; }
   const int64_t* RowAt(uint64_t i) const { return arena_.data() + i * width_; }
 
+  /// Heap bytes of the arena and the hash slots.
+  uint64_t MemoryBytes() const;
+
  private:
   /// Slot holding `row`, or the free slot where it would go.
   uint64_t FindSlot(const int64_t* row) const;
@@ -147,18 +151,99 @@ class RowSet {
   std::vector<uint64_t> slots_;  // row ids; kNotFound marks a free slot
 };
 
+/// Hash index on one column of a relation: value -> the ids of the rows
+/// holding it, chained in ascending row order. It covers the rows
+/// [0, end) of the last Extend, so a probe sees exactly those rows.
+class ColumnIndex {
+ public:
+  static constexpr uint64_t kEnd = ~uint64_t{0};
+
+  explicit ColumnIndex(uint32_t column) : column_(column), keys_(1) {}
+
+  /// Indexes rows [covered, end) of `rows`.
+  void Extend(const RowSet& rows, uint64_t end);
+
+  /// First row holding `key`, or kEnd.
+  uint64_t First(int64_t key) const {
+    const uint64_t k = keys_.Find(&key);
+    return k == RowSet::kNotFound ? kEnd : head_[k];
+  }
+  /// The next row after `row` with the same key, or kEnd.
+  uint64_t Next(uint64_t row) const { return next_[row]; }
+
+  uint64_t MemoryBytes() const;
+
+ private:
+  uint32_t column_;
+  RowSet keys_;  // distinct values; a value's id indexes head_/tail_
+  std::vector<uint64_t> head_, tail_;
+  std::vector<uint64_t> next_;  // per indexed row: next row with its key
+};
+
+/// One relation: its deduplicated rows in insertion order plus one hash
+/// index per column, each built on first use. An evaluation owns its IDB
+/// relations and extends their indexes as its rounds add rows. An EDB
+/// relation is filled once, then frozen behind a
+/// std::shared_ptr<const Relation> and borrowed by every evaluation that
+/// reads it, so its rows and indexes are built once, not per query.
+///
+/// Thread safety: once no more rows are inserted, any number of threads
+/// may read the relation and call Index() and MemoryBytes() at once. Each
+/// column index is built at most once, under that column's own
+/// std::once_flag, by the first caller that needs it.
+class Relation {
+ public:
+  /// `arity` columns. A nullary relation stores one constant-0 column so
+  /// that its one possible tuple occupies an arena row.
+  explicit Relation(uint32_t arity);
+  ~Relation();
+
+  Relation(const Relation&) = delete;
+  Relation& operator=(const Relation&) = delete;
+
+  /// True when the row (`arity` values; ignored when nullary) was new.
+  bool Insert(const int64_t* row);
+
+  uint32_t arity() const { return arity_; }
+  uint64_t size() const { return rows_.size(); }
+  const RowSet& rows() const { return rows_; }
+
+  /// The index on `column`. The first call for a column builds it over
+  /// rows [0, end) and sets `*built`; every later call returns that same
+  /// index, which only ExtendIndexes moves past `end`.
+  const ColumnIndex* Index(uint32_t column, uint64_t end, bool* built) const;
+
+  /// Extends every index built so far over rows [0, end). Only for a
+  /// relation its caller owns alone (an evaluation's IDB relations).
+  void ExtendIndexes(uint64_t end);
+
+  /// Heap bytes of the rows, their hash slots and every index built.
+  uint64_t MemoryBytes() const;
+
+ private:
+  struct Column;
+
+  uint32_t arity_;
+  RowSet rows_;
+  /// One per stored column. The array is fixed at construction; an
+  /// index is written only inside its column's call_once.
+  std::unique_ptr<Column[]> columns_;
+  /// Bytes of the indexes built so far, read without the once flags.
+  mutable std::atomic<uint64_t> index_bytes_{0};
+};
+
 /// Semi-naive fixpoint evaluator. Each predicate's tuples live in one
-/// RowSet in first-derivation order; "total" and "delta" are row ranges
-/// of it, and joins run as nested loops over those ranges and per-column
-/// hash indexes. All state is private to one evaluation, so concurrent
-/// evaluations share nothing mutable.
+/// Relation in first-derivation order; "total" and "delta" are row
+/// ranges of it, and joins run as nested loops over those ranges and
+/// per-column hash indexes. IDB relations are private to one
+/// evaluation; EDB relations are borrowed, read-only, from the loader.
 class Evaluator {
  public:
-  /// Streams the full extension of one EDB predicate: the loader calls
-  /// `emit` once per tuple (row of `width` encoded constants).
-  using EmitFn = std::function<base::Status(const int64_t* row)>;
-  using EdbLoader = std::function<base::Status(uint32_t pred, uint32_t width,
-                                              const EmitFn& emit)>;
+  /// Supplies the full extension of one EDB predicate as a relation of
+  /// the predicate's arity, which the evaluation borrows and never
+  /// changes (beyond building its column indexes).
+  using EdbLoader = std::function<base::Result<std::shared_ptr<const Relation>>(
+      uint32_t pred)>;
 
   Evaluator(const Program* program, EvalOptions options);
   ~Evaluator();
@@ -166,7 +251,8 @@ class Evaluator {
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
-  /// Validates, stratifies, loads EDB extensions, and runs the fixpoint.
+  /// Validates, stratifies, borrows the EDB relations, and runs the
+  /// fixpoint.
   base::Status Run(const EdbLoader& loader);
 
   /// Tuple count of `pred` after Run (EDB or IDB).
@@ -184,11 +270,11 @@ class Evaluator {
 
  private:
   struct Rel;          // per-predicate state
-  class ColumnIndex;   // value -> row ids for one column of one Rel
   struct Step;         // one positive body literal in join order
   struct RuleJoin;     // compiled join loop for one rule variant
 
-  base::Status LoadEdb(const EdbLoader& loader);
+  /// Creates the IDB relations and borrows the EDB ones from `loader`.
+  base::Status SetUpRelations(const EdbLoader& loader);
   base::Status EvalStratum(const std::vector<uint32_t>& rule_ids,
                            const std::vector<uint32_t>& strata,
                            uint32_t stratum);

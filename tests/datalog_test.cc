@@ -47,21 +47,34 @@ rdl::Program ClosureProgram(uint32_t* edge_out, uint32_t* path_out) {
   return program;
 }
 
+// The one way these tests build an EDB relation: `rows` of `arity`
+// values each (empty rows for a nullary relation), frozen for sharing.
+std::shared_ptr<const rdl::Relation> MakeRelation(
+    uint32_t arity, const std::vector<std::vector<int64_t>>& rows) {
+  auto relation = std::make_shared<rdl::Relation>(arity);
+  for (const std::vector<int64_t>& row : rows) {
+    EXPECT_EQ(row.size(), arity);
+    relation->Insert(row.data());
+  }
+  return relation;
+}
+
+std::shared_ptr<const rdl::Relation> EdgeRelation(
+    const std::vector<GraphWorkload::Edge>& edges) {
+  std::vector<std::vector<int64_t>> rows;
+  for (const auto& e : edges) rows.push_back({e.first, e.second});
+  return MakeRelation(2, rows);
+}
+
 rdl::Evaluator::EdbLoader EdgeLoader(uint32_t edge_pred,
                                      const std::vector<GraphWorkload::Edge>&
                                          edges) {
-  return [edge_pred, &edges](uint32_t pred, uint32_t width,
-                             const rdl::Evaluator::EmitFn& emit) {
+  return [edge_pred, relation = EdgeRelation(edges)](uint32_t pred)
+             -> base::Result<std::shared_ptr<const rdl::Relation>> {
     if (pred != edge_pred) {
       return base::Status::InvalidArgument("unexpected EDB pred");
     }
-    EXPECT_EQ(width, 2u);
-    for (const auto& e : edges) {
-      const int64_t row[2] = {e.first, e.second};
-      base::Status status = emit(row);
-      if (!status.ok()) return status;
-    }
-    return base::Status::OK();
+    return relation;
   };
 }
 
@@ -205,17 +218,10 @@ TEST(DatalogIrTest, StratifiedNegation) {
         rdl::Atom{path, true, {T::Const(0), T::Var(0)}}}});
 
   const std::vector<GraphWorkload::Edge> edges = GraphWorkload::Chain(5);
-  auto loader = [&](uint32_t pred, uint32_t width,
-                    const rdl::Evaluator::EmitFn& emit) {
-    if (pred == node) {
-      for (int64_t i = 0; i < 5; ++i) {
-        const int64_t row[1] = {i};
-        base::Status status = emit(row);
-        if (!status.ok()) return status;
-      }
-      return base::Status::OK();
-    }
-    return EdgeLoader(edge, edges)(pred, width, emit);
+  auto loader = [&](uint32_t pred)
+      -> base::Result<std::shared_ptr<const rdl::Relation>> {
+    if (pred == node) return MakeRelation(1, {{0}, {1}, {2}, {3}, {4}});
+    return EdgeLoader(edge, edges)(pred);
   };
   rdl::Evaluator eval(&program, {});
   ASSERT_TRUE(eval.Run(loader).ok());
@@ -282,20 +288,12 @@ TEST(DatalogIrTest, JoinShapesMatchHandComputedSets) {
 
   const std::vector<GraphWorkload::Edge> edges = {
       {1, 2}, {2, 3}, {3, 3}, {1, 4}, {4, 4}, {3, 5}};
-  auto loader = [&](uint32_t pred, uint32_t width,
-                    const rdl::Evaluator::EmitFn& emit) -> base::Status {
-    if (pred == node) {
-      for (int64_t i = 1; i <= 5; ++i) {
-        EDUCE_RETURN_IF_ERROR(emit(&i));
-      }
-      return base::Status::OK();
-    }
-    if (pred == on) {
-      const int64_t unused = 0;
-      return emit(&unused);
-    }
-    if (pred == off) return base::Status::OK();
-    return EdgeLoader(edge, edges)(pred, width, emit);
+  auto loader = [&](uint32_t pred)
+      -> base::Result<std::shared_ptr<const rdl::Relation>> {
+    if (pred == node) return MakeRelation(1, {{1}, {2}, {3}, {4}, {5}});
+    if (pred == on) return MakeRelation(0, {{}});
+    if (pred == off) return MakeRelation(0, {});
+    return EdgeLoader(edge, edges)(pred);
   };
 
   using Rows = std::vector<std::vector<int64_t>>;
@@ -350,13 +348,10 @@ TEST(DatalogIrTest, MagicRewriteDerivesStrictlyFewerTuples) {
   auto rewritten = rdl::MagicRewrite(program, path, {true, false});
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   ASSERT_NE(rewritten->seed_pred, rdl::kNoPred);
-  auto loader = [&](uint32_t pred, uint32_t width,
-                    const rdl::Evaluator::EmitFn& emit) {
-    if (pred == rewritten->seed_pred) {
-      const int64_t row[1] = {0};
-      return emit(row);
-    }
-    return EdgeLoader(0, edges)(0, width, emit);  // every other EDB is edge
+  auto loader = [&](uint32_t pred)
+      -> base::Result<std::shared_ptr<const rdl::Relation>> {
+    if (pred == rewritten->seed_pred) return MakeRelation(1, {{0}});
+    return EdgeRelation(edges);  // every other EDB is edge
   };
   rdl::Evaluator magic(&rewritten->program, {});
   ASSERT_TRUE(magic.Run(loader).ok());
@@ -384,12 +379,13 @@ TEST(DatalogIrTest, MagicRewriteAllFreeIsIdentity) {
 // Engine bridge
 // ---------------------------------------------------------------------------
 
-// All solutions of `goal`, each rendered "X=v,Y=w", deduplicated (the
-// bottom-up path has set semantics; the WAM side may repeat solutions).
-std::set<std::string> SolutionSet(Engine* engine, std::string_view goal,
-                                  int max = 200000) {
-  std::set<std::string> out;
-  auto solutions = engine->Query(goal);
+// Every solution of `goal` from an Engine or a Session, in the order the
+// engine gives them, each rendered "X=v,Y=w".
+template <typename Querier>
+std::vector<std::string> SolutionRows(Querier* querier, std::string_view goal,
+                                      int max = 200000) {
+  std::vector<std::string> out;
+  auto solutions = querier->Query(goal);
   EXPECT_TRUE(solutions.ok()) << goal << ": " << solutions.status();
   if (!solutions.ok()) return out;
   for (int i = 0; i < max; ++i) {
@@ -401,9 +397,17 @@ std::set<std::string> SolutionSet(Engine* engine, std::string_view goal,
       if (!row.empty()) row += ",";
       row += name + "=" + value;
     }
-    out.insert(row);
+    out.push_back(std::move(row));
   }
   return out;
+}
+
+// All solutions of `goal`, deduplicated (the bottom-up path has set
+// semantics; the WAM side may repeat solutions).
+std::set<std::string> SolutionSet(Engine* engine, std::string_view goal,
+                                  int max = 200000) {
+  const std::vector<std::string> rows = SolutionRows(engine, goal, max);
+  return std::set<std::string>(rows.begin(), rows.end());
 }
 
 struct EnginePair {
@@ -468,6 +472,74 @@ TEST(DatalogEngineTest, SeededDifferentialsMatchWam) {
     pair.ExpectSameSolutions("path(X, 5)");
     EXPECT_GE(pair.bottom_up.Stats().datalog.queries_bottom_up, 3u)
         << "seed " << seed;
+  }
+}
+
+TEST(DatalogEngineTest, ProjectionsAnswerEachBindingOnce) {
+  // An `_` drops a column of the query relation, so distinct tuples can
+  // project to one binding; a goal with no named variable is a bare yes.
+  EnginePair pair;
+  pair.LoadEdges(GraphWorkload::RandomDag(14, 30, 42));
+  pair.ConsultBoth(kClosureRules);
+  for (const char* goal : {"path(X, _)", "path(_, Y)", "path(0, _)",
+                           "path(_, _)", "path(0, 13)", "path(13, 0)"}) {
+    pair.ExpectSameSolutions(goal);
+    const std::vector<std::string> rows = SolutionRows(&pair.bottom_up, goal);
+    EXPECT_EQ(std::set<std::string>(rows.begin(), rows.end()).size(),
+              rows.size())
+        << goal << " repeated a binding";
+  }
+  EXPECT_EQ(SolutionRows(&pair.bottom_up, "path(_, _)").size(), 1u);
+  EXPECT_LE(SolutionRows(&pair.bottom_up, "path(0, 13)").size(), 1u);
+  EXPECT_TRUE(SolutionRows(&pair.bottom_up, "path(13, 0)").empty());
+  EXPECT_GE(pair.bottom_up.Stats().datalog.queries_bottom_up, 6u);
+}
+
+TEST(DatalogEngineTest, CyclicGraphAnswersMatchBoundedWam) {
+  // On a cycle the closure rules never terminate top-down, so the WAM
+  // side runs a depth-bounded copy: with 6 nodes every reachable pair is
+  // reachable in at most 6 hops, which gives the same set.
+  EnginePair pair;
+  pair.LoadEdges({{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 3}, {5, 5}});
+  ASSERT_TRUE(pair.bottom_up.Consult(kClosureRules).ok());
+  ASSERT_TRUE(pair.wam
+                  .Consult("hops(X, Y, s(_)) :- edge(X, Y).\n"
+                           "hops(X, Y, s(N)) :- edge(X, Z), hops(Z, Y, N).\n"
+                           "path(X, Y) :- hops(X, Y, s(s(s(s(s(s(0))))))).\n")
+                  .ok());
+  for (const char* goal : {"path(X, X)", "path(X, Y)", "path(0, Y)",
+                           "path(X, 3)", "path(4, 4)", "path(3, 0)"}) {
+    pair.ExpectSameSolutions(goal);
+  }
+  EXPECT_EQ(SolutionSet(&pair.bottom_up, "path(X, X)"),
+            (std::set<std::string>{"X=0", "X=1", "X=2", "X=3", "X=4", "X=5"}));
+  // A ground goal the WAM proves many times over answers true once.
+  EXPECT_EQ(SolutionRows(&pair.bottom_up, "path(4, 4)").size(), 1u);
+  EXPECT_GE(pair.bottom_up.Stats().datalog.queries_bottom_up, 6u);
+}
+
+TEST(DatalogEngineTest, AnswerOrderRepeatsAcrossRunsAndSessions) {
+  // Answers come in derivation order, not sorted: the same query gives
+  // the same sequence every time, from an Engine or a Session.
+  EngineOptions options;
+  options.datalog = true;
+  Engine engine(options);
+  ASSERT_TRUE(GraphWorkload::StoreEdges(&engine, "edge",
+                                        GraphWorkload::RandomDag(20, 45, 7))
+                  .ok());
+  ASSERT_TRUE(engine.Consult(kClosureRules).ok());
+  const std::string goals[] = {"path(X, Y)", "path(0, Y)", "path(X, 19)",
+                               "path(X, _)"};
+  std::vector<std::vector<std::string>> first;
+  for (const std::string& goal : goals) {
+    first.push_back(SolutionRows(&engine, goal));
+    EXPECT_FALSE(first.back().empty()) << goal;
+    EXPECT_EQ(SolutionRows(&engine, goal), first.back()) << goal;
+  }
+  auto session = engine.OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status();
+  for (size_t i = 0; i < std::size(goals); ++i) {
+    EXPECT_EQ(SolutionRows(session->get(), goals[i]), first[i]) << goals[i];
   }
 }
 
@@ -614,7 +686,7 @@ TEST(DatalogEngineTest, MaterializedSolutionsApi) {
     EXPECT_EQ((*solutions)->Binding("missing"), "");
     ys.push_back((*solutions)->Binding("Y"));
   }
-  EXPECT_EQ(ys, (std::vector<std::string>{"1", "2"}));  // sorted set
+  EXPECT_EQ(ys, (std::vector<std::string>{"1", "2"}));  // derivation order
   // Exhausted: further Next stays false, and the engine accepts the next
   // query (the active-query flag was released).
   auto again = (*solutions)->Next();
@@ -688,6 +760,49 @@ TEST(DatalogEngineTest, ParallelBottomUpQueriesAgree) {
   EXPECT_GE(engine.Stats().datalog.queries_bottom_up, 16u);
   EXPECT_EQ(engine.Stats().clause_store.bulk_fact_scans, warm_scans)
       << "a worker re-read edge/2 instead of sharing the warm entry";
+}
+
+TEST(DatalogEngineTest, ConcurrentFirstProbesOfASharedRelationAgree) {
+  // A full query warms edge/2 but probes only its second column. Four
+  // sessions then open their first bound queries at once: each magic
+  // program probes edge/2 on its first column, so they race to build
+  // that shared index (TSan sweeps this test). The nonedge/2 goals run
+  // a negated EDB literal, which probes the shared row hash table.
+  const char kRules[] =
+      "path(X, Y) :- edge(X, Y).\n"
+      "path(X, Y) :- edge(X, Z), path(Z, Y).\n"
+      "nonedge(X, Y) :- path(X, Y), \\+ edge(X, Y).\n";
+  EnginePair pair;
+  pair.LoadEdges(GraphWorkload::RandomDag(30, 70, 11));
+  pair.ConsultBoth(kRules);
+  EXPECT_FALSE(SolutionSet(&pair.bottom_up, "path(X, Y)").empty());
+  const uint64_t scans = pair.bottom_up.Stats().clause_store.bulk_fact_scans;
+  const uint64_t warm_bytes =
+      pair.bottom_up.Stats().memory.datalog_edb_cache_bytes;
+
+  std::vector<std::string> goals;
+  for (int i = 0; i < 4; ++i) goals.push_back("path(" + std::to_string(i) + ", Y)");
+  for (int i = 0; i < 8; ++i) {
+    goals.push_back("nonedge(" + std::to_string(i) + ", Y)");
+    goals.push_back("path(X, " + std::to_string(20 + i) + ")");
+  }
+  auto bottom_up = pair.bottom_up.SolveParallel(goals, 4, true);
+  ASSERT_TRUE(bottom_up.ok()) << bottom_up.status();
+  auto wam = pair.wam.SolveParallel(goals, 1, true);
+  ASSERT_TRUE(wam.ok()) << wam.status();
+  for (size_t i = 0; i < goals.size(); ++i) {
+    const std::vector<std::string>& got = (*bottom_up)[i].rows;
+    const std::vector<std::string>& want = (*wam)[i].rows;
+    EXPECT_EQ(std::set<std::string>(got.begin(), got.end()),
+              std::set<std::string>(want.begin(), want.end()))
+        << goals[i];
+  }
+  EXPECT_GE(pair.bottom_up.Stats().datalog.queries_bottom_up,
+            goals.size() + 1);
+  EXPECT_EQ(pair.bottom_up.Stats().clause_store.bulk_fact_scans, scans)
+      << "a session re-read edge/2 instead of borrowing the shared relation";
+  EXPECT_GT(pair.bottom_up.Stats().memory.datalog_edb_cache_bytes, warm_bytes)
+      << "no session built the first-column index of the shared relation";
 }
 
 TEST(DatalogEngineTest, EdbCacheFollowsInterleavedMutations) {
@@ -818,6 +933,32 @@ TEST(DatalogEngineTest, EdbCacheBytesAreReported) {
   auto done = engine.Succeeds("edb_assert(edge(9, 10))");
   ASSERT_TRUE(done.ok() && *done);
   EXPECT_EQ(engine.Stats().memory.datalog_edb_cache_bytes, 0u);
+}
+
+TEST(DatalogEngineTest, EdbCacheBytesCountEachColumnIndex) {
+  EngineOptions options;
+  options.datalog = true;
+  Engine engine(options);
+  ASSERT_TRUE(
+      GraphWorkload::StoreEdges(&engine, "edge", GraphWorkload::Chain(10))
+          .ok());
+  ASSERT_TRUE(engine.Consult(kClosureRules).ok());
+  auto cache_bytes = [&] {
+    return engine.Stats().memory.datalog_edb_cache_bytes;
+  };
+  // The full query probes edge/2 on its second column only.
+  EXPECT_EQ(SolutionSet(&engine, "path(X, Y)").size(), 45u);
+  const uint64_t one_index = cache_bytes();
+  EXPECT_GT(one_index, 0u);
+  EXPECT_EQ(SolutionSet(&engine, "path(X, Y)").size(), 45u);
+  EXPECT_EQ(cache_bytes(), one_index) << "a warm query rebuilt an index";
+  // The bound query's magic program probes the first column too.
+  EXPECT_EQ(SolutionSet(&engine, "path(0, Y)").size(), 9u);
+  EXPECT_GT(cache_bytes(), one_index);
+
+  auto done = engine.Succeeds("edb_assert(edge(9, 10))");
+  ASSERT_TRUE(done.ok() && *done);
+  EXPECT_EQ(cache_bytes(), 0u);
 }
 
 TEST(DatalogEngineTest, DictionarySweepDropsCachedEdbRows) {

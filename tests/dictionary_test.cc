@@ -3,6 +3,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -124,6 +126,77 @@ TEST(DictionaryTest, TombstoneReuseCountsInStats) {
     ASSERT_TRUE(dict.Intern("u" + std::to_string(i), 0).ok());
   }
   EXPECT_GT(dict.stats().slot_reuses, 0u);
+}
+
+TEST(DictionaryTest, InterningExistingNamesInsertsNothing) {
+  Dictionary dict;
+  std::vector<SymbolId> ids;
+  for (int i = 0; i < 100; ++i) {
+    auto id = dict.Intern("e" + std::to_string(i), i % 3);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  const uint64_t inserts = dict.stats().inserts;
+  for (int i = 0; i < 100; ++i) {
+    auto id = dict.Intern("e" + std::to_string(i), i % 3);
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(*id, ids[i]);
+  }
+  EXPECT_EQ(dict.stats().inserts, inserts);
+  EXPECT_EQ(dict.size(), 100u);
+}
+
+// Four threads intern one mix of existing and new names, each in its own
+// order: every name gets one id, the same in every thread. Under TSan
+// this races the shared-latch probe against inserts of new names.
+TEST(DictionaryTest, ConcurrentInternsAgreeOnIds) {
+  Dictionary::Options options;
+  options.segment_capacity = 64;  // new names chain segments mid-race
+  Dictionary dict(options);
+  std::vector<std::string> names;
+  std::map<std::string, SymbolId> existing;
+  for (int i = 0; i < 40; ++i) {
+    names.push_back("old" + std::to_string(i));
+    auto id = dict.Intern(names.back(), 1);
+    ASSERT_TRUE(id.ok());
+    existing[names.back()] = *id;
+  }
+  for (int i = 0; i < 120; ++i) names.push_back("new" + std::to_string(i));
+  const uint64_t inserts = dict.stats().inserts;
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<SymbolId>> got(kThreads,
+                                         std::vector<SymbolId>(names.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (size_t k = 0; k < names.size(); ++k) {
+          // Each thread walks the names from its own offset.
+          const size_t i = (k + static_cast<size_t>(t) * 37) % names.size();
+          auto id = dict.Intern(names[i], 1);
+          got[t][i] = id.ok() ? *id : kInvalidSymbol;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_NE(got[0][i], kInvalidSymbol) << names[i];
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(got[t][i], got[0][i]) << names[i] << " thread " << t;
+    }
+    auto it = existing.find(names[i]);
+    if (it != existing.end()) {
+      EXPECT_EQ(got[0][i], it->second) << names[i];
+    }
+    if (got[0][i] != kInvalidSymbol) {
+      EXPECT_EQ(dict.NameOf(got[0][i]), names[i]);
+    }
+  }
+  EXPECT_EQ(dict.stats().inserts, inserts + 120);
+  EXPECT_EQ(dict.size(), names.size());
 }
 
 // Property test: a random interleaving of intern/remove/lookup agrees with
