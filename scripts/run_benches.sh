@@ -4,7 +4,8 @@
 # human-readable tables; this script strips the prefix into
 #
 #   BENCH_codecache.json   bench_loader_cache  (in-session code cache)
-#   BENCH_wisconsin.json   bench_wisconsin     (relational queries, Table 2,
+#   BENCH_wisconsin.json   bench_wisconsin     (Table 2 as engine goals over
+#                                               external fact relations,
 #                                               plus WAM unbound scans)
 #   BENCH_parallel.json    bench_parallel      (worker sessions, shared EDB)
 #   BENCH_governor.json    bench_governor      (adaptive memory governor)

@@ -95,7 +95,7 @@ struct EngineOptions {
   bool pattern_cache = true;
   /// Bottom-up Datalog evaluation (DESIGN.md §15): queries over
   /// Datalog-range procedures are answered by semi-naive delta iteration
-  /// on the relational executor (with magic-set rewriting for bound call
+  /// in rel::datalog's evaluator (with magic-set rewriting for bound call
   /// patterns) instead of top-down SLD, per the per-procedure strategy
   /// (DatalogManager; default auto = bottom-up iff eligible and
   /// recursive). Off by default: bottom-up answers carry set semantics

@@ -9,8 +9,8 @@ namespace educe::storage {
 
 /// A slotted-page view over raw page bytes: a slot directory grows from
 /// the front, record bodies grow from the back. The first `reserved`
-/// bytes belong to the owner (heap files keep their next-page pointer
-/// there; BANG buckets their local depth and overflow pointer).
+/// bytes belong to the owner (BANG buckets keep their local depth and
+/// overflow pointer there).
 ///
 /// The view does not own the bytes; construct one on demand around a
 /// pinned buffer frame. All offsets are 16-bit, so pages up to 64 KiB.

@@ -20,7 +20,6 @@
 #include "storage/io_util.h"
 #include "storage/bang_file.h"
 #include "storage/buffer_pool.h"
-#include "storage/heap_file.h"
 #include "storage/paged_file.h"
 #include "storage/slotted_page.h"
 
@@ -226,77 +225,6 @@ TEST(SlottedPageTest, CompactReclaimsDeletedSpace) {
   EXPECT_TRUE(page.Insert(std::string(20, 'y')).has_value());
 }
 
-TEST(HeapFileTest, AppendReadDelete) {
-  PagedFile file;
-  BufferPool pool(&file, 8);
-  auto heap = HeapFile::Create(&pool);
-  ASSERT_TRUE(heap.ok());
-
-  auto r1 = heap->Append("first");
-  auto r2 = heap->Append("second");
-  ASSERT_TRUE(r1.ok() && r2.ok());
-  EXPECT_EQ(heap->Read(*r1).value(), "first");
-  EXPECT_EQ(heap->Read(*r2).value(), "second");
-
-  ASSERT_TRUE(heap->Delete(*r1).ok());
-  EXPECT_FALSE(heap->Read(*r1).ok());
-}
-
-TEST(HeapFileTest, SpansPagesAndScans) {
-  PagedFile file;
-  BufferPool pool(&file, 8);
-  auto heap = HeapFile::Create(&pool);
-  ASSERT_TRUE(heap.ok());
-  const std::string record(500, 'r');
-  const int n = 50;  // ~25 KB: multiple 4K pages
-  for (int i = 0; i < n; ++i) {
-    ASSERT_TRUE(heap->Append(record + std::to_string(i)).ok());
-  }
-  auto cursor = heap->Scan();
-  RecordId rid;
-  std::string bytes;
-  int count = 0;
-  std::set<std::string> seen;
-  while (cursor.Next(&rid, &bytes)) {
-    ++count;
-    seen.insert(bytes);
-  }
-  ASSERT_TRUE(cursor.status().ok());
-  EXPECT_EQ(count, n);
-  EXPECT_EQ(seen.size(), static_cast<size_t>(n));
-}
-
-TEST(HeapFileTest, ReopenFindsTail) {
-  PagedFile file;
-  BufferPool pool(&file, 8);
-  PageId first;
-  {
-    auto heap = HeapFile::Create(&pool);
-    ASSERT_TRUE(heap.ok());
-    first = heap->first_page();
-    for (int i = 0; i < 40; ++i) {
-      ASSERT_TRUE(heap->Append(std::string(400, 'a')).ok());
-    }
-  }
-  auto reopened = HeapFile::Open(&pool, first);
-  ASSERT_TRUE(reopened.ok());
-  ASSERT_TRUE(reopened->Append("tail-record").ok());
-  auto cursor = reopened->Scan();
-  RecordId rid;
-  std::string bytes;
-  int count = 0;
-  while (cursor.Next(&rid, &bytes)) ++count;
-  EXPECT_EQ(count, 41);
-}
-
-TEST(HeapFileTest, OversizeRecordRejected) {
-  PagedFile file;
-  BufferPool pool(&file, 8);
-  auto heap = HeapFile::Create(&pool);
-  ASSERT_TRUE(heap.ok());
-  EXPECT_FALSE(heap->Append(std::string(5000, 'x')).ok());
-}
-
 // --- BANG file -------------------------------------------------------------
 
 TEST(BangFileTest, ExactMatchRetrieval) {
@@ -428,6 +356,23 @@ TEST(BangFileTest, WildcardKeyRejectedOnInsert) {
   auto bang = BangFile::Create(&pool, 1);
   ASSERT_TRUE(bang.ok());
   EXPECT_FALSE(bang->Insert({kBangWildcard}, "bad").ok());
+}
+
+TEST(BangFileTest, OversizeRecordRejected) {
+  PagedFile file;
+  BufferPool pool(&file, 32);
+  auto bang = BangFile::Create(&pool, 1);
+  ASSERT_TRUE(bang.ok());
+  ASSERT_TRUE(bang->Insert({1}, "kept").ok());
+
+  EXPECT_FALSE(bang->Insert({2}, std::string(pool.page_size(), 'x')).ok());
+  EXPECT_EQ(bang->record_count(), 1u);
+  auto cursor = bang->OpenScan({kBangWildcard});
+  BangFile::Record record;
+  std::vector<std::string> seen;
+  while (cursor.Next(&record)) seen.push_back(record.payload);
+  ASSERT_TRUE(cursor.status().ok());
+  EXPECT_EQ(seen, std::vector<std::string>{"kept"});
 }
 
 // Property: BANG partial-match results always equal a model filter.

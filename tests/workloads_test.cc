@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "workloads/integrity.h"
 #include "workloads/mvv.h"
+#include "workloads/wisconsin.h"
 
 namespace educe::workloads {
 namespace {
@@ -147,6 +151,122 @@ TEST(IntegrityWorkloadTest, ExternalAndInternalAgree) {
     return out;
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+using Wisconsin = WisconsinWorkload;
+
+// Every row of `name`/16 as the engine answers an all-unbound goal, in
+// solution order.
+std::vector<Wisconsin::Row> ReadWisconsin(Engine* engine,
+                                          std::string_view name) {
+  std::vector<std::pair<Wisconsin::Column, std::string>> args;
+  for (uint32_t c = 0; c < Wisconsin::kArity; ++c) {
+    args.emplace_back(static_cast<Wisconsin::Column>(c),
+                      "C" + std::to_string(c));
+  }
+  std::vector<Wisconsin::Row> rows;
+  auto solutions = engine->Query(Wisconsin::Goal(name, args));
+  EXPECT_TRUE(solutions.ok()) << solutions.status();
+  if (!solutions.ok()) return rows;
+  while (true) {
+    auto more = (*solutions)->Next();
+    EXPECT_TRUE(more.ok()) << more.status();
+    if (!more.ok() || !*more) break;
+    Wisconsin::Row row;
+    for (uint32_t c = 0; c < Wisconsin::kArity; ++c) {
+      const term::AstPtr value =
+          (*solutions)->BindingAst("C" + std::to_string(c));
+      if (c < Wisconsin::kIntColumns) {
+        row.ints[c] = value->int_value;
+      } else {
+        row.strings[c - Wisconsin::kIntColumns] =
+            std::string(engine->dictionary()->NameOf(value->functor));
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+uint64_t BufferAccesses(Engine* engine) {
+  const storage::BufferPoolStats stats = engine->Stats().buffer_pool;
+  return stats.hits + stats.misses;
+}
+
+TEST(WisconsinWorkloadTest, WisconsinShape) {
+  Engine engine;
+  ASSERT_TRUE(Wisconsin::Store(&engine, "tenk", 1000, 42).ok());
+
+  const std::vector<Wisconsin::Row> rows = ReadWisconsin(&engine, "tenk");
+  ASSERT_EQ(rows.size(), 1000u);
+  std::set<int64_t> unique1;
+  std::set<int64_t> unique2;
+  for (const Wisconsin::Row& row : rows) {
+    const int64_t u1 = row.ints[Wisconsin::kUnique1];
+    EXPECT_GE(u1, 0);
+    EXPECT_LT(u1, 1000);
+    unique1.insert(u1);
+    unique2.insert(row.ints[Wisconsin::kUnique2]);
+    EXPECT_EQ(row.ints[Wisconsin::kTwo], u1 % 2);
+    EXPECT_EQ(row.ints[Wisconsin::kFour], u1 % 4);
+    EXPECT_EQ(row.ints[Wisconsin::kTen], u1 % 10);
+    EXPECT_EQ(row.ints[Wisconsin::kTwenty], u1 % 20);
+    EXPECT_EQ(row.ints[Wisconsin::kOnePercent], u1 % 100);
+    EXPECT_EQ(row.ints[Wisconsin::kTenPercent], u1 % 10);
+    EXPECT_EQ(row.ints[Wisconsin::kTwentyPercent], u1 % 5);
+    EXPECT_EQ(row.ints[Wisconsin::kFiftyPercent], u1 % 2);
+    EXPECT_EQ(row.ints[Wisconsin::kUnique3], u1);
+    EXPECT_EQ(row.ints[Wisconsin::kEvenOnePercent], (u1 % 100) * 2);
+    EXPECT_EQ(row.ints[Wisconsin::kOddOnePercent], (u1 % 100) * 2 + 1);
+    for (const std::string& text : row.strings) EXPECT_EQ(text.size(), 52u);
+  }
+  // unique1 is a permutation of [0, n); unique2 is [0, n).
+  EXPECT_EQ(unique1.size(), 1000u);
+  EXPECT_EQ(unique2.size(), 1000u);
+
+  auto point = engine.CountSolutions(
+      Wisconsin::Goal("tenk", {{Wisconsin::kUnique2, "500"}}));
+  ASSERT_TRUE(point.ok()) << point.status();
+  EXPECT_EQ(*point, 1u);
+  auto one_percent = engine.CountSolutions(
+      Wisconsin::Goal("tenk", {{Wisconsin::kOnePercent, "50"}}));
+  ASSERT_TRUE(one_percent.ok()) << one_percent.status();
+  EXPECT_EQ(*one_percent, 10u);  // 1% of 1000
+}
+
+TEST(WisconsinWorkloadTest, WisconsinDeterministicAcrossSeedReuse) {
+  Engine a;
+  Engine b;
+  ASSERT_TRUE(Wisconsin::Store(&a, "w", 200, 7).ok());
+  ASSERT_TRUE(Wisconsin::Store(&b, "w", 200, 7).ok());
+  const std::vector<Wisconsin::Row> rows_a = ReadWisconsin(&a, "w");
+  EXPECT_EQ(rows_a.size(), 200u);
+  EXPECT_EQ(rows_a, ReadWisconsin(&b, "w"));
+}
+
+// The index format must stay an index probe: a regression that turns the
+// unique2 point goal into a scan fails here, not only in bench_wisconsin.
+TEST(WisconsinWorkloadTest, PointGoalOnKeyColumnBeatsScan) {
+  Engine engine;
+  ASSERT_TRUE(Wisconsin::Store(&engine, "tenk", 1000, 42).ok());
+  const std::string point =
+      Wisconsin::Goal("tenk", {{Wisconsin::kUnique2, "500"}});
+  const std::string scan =
+      Wisconsin::Goal("tenk", {{Wisconsin::kUnique2, "U2"}}) +
+      ", U2 =:= 500";
+
+  auto cost = [&](const std::string& goal) {
+    const uint64_t before = BufferAccesses(&engine);
+    auto count = engine.CountSolutions(goal);
+    EXPECT_TRUE(count.ok()) << count.status();
+    EXPECT_EQ(count.ok() ? *count : 0, 1u) << goal;
+    return BufferAccesses(&engine) - before;
+  };
+  const uint64_t point_cost = cost(point);
+  const uint64_t scan_cost = cost(scan);
+  EXPECT_GT(point_cost, 0u);
+  EXPECT_LT(point_cost * 10, scan_cost)
+      << "point " << point_cost << " vs scan " << scan_cost;
 }
 
 }  // namespace
