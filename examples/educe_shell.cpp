@@ -111,7 +111,7 @@ void PrintStats(educe::Engine* engine) {
       "machine: %llu instructions, %llu calls, %llu choice points, %llu "
       "gc runs (%llu cells)\n"
       "edb:     %llu facts stored, %llu rules stored, %llu fact rows "
-      "fetched, %llu clauses decoded\n"
+      "fetched (%llu filtered in the page), %llu clauses decoded\n"
       "disc:    %llu pages read, %llu written; buffer %llu hits / %llu "
       "misses\n"
       "cache:   %llu hits / %llu misses, %llu invalidations, %llu entries "
@@ -124,6 +124,7 @@ void PrintStats(educe::Engine* engine) {
       static_cast<unsigned long long>(s.clause_store.facts_stored),
       static_cast<unsigned long long>(s.clause_store.rules_stored),
       static_cast<unsigned long long>(s.clause_store.fact_rows_fetched),
+      static_cast<unsigned long long>(s.clause_store.fact_rows_filtered),
       static_cast<unsigned long long>(s.loader.clauses_decoded),
       static_cast<unsigned long long>(s.paged_file.pages_read),
       static_cast<unsigned long long>(s.paged_file.pages_written),

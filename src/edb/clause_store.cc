@@ -217,6 +217,57 @@ CallPattern PatternFromCall(wam::Machine* machine, uint32_t arity) {
   return pattern;
 }
 
+bool FactRowMayMatch(std::string_view payload, const CallPattern& pattern) {
+  // Arguments past this many are left to unification: a bounded stack
+  // buffer keeps the per-row walk allocation-free.
+  constexpr size_t kMaxPeek = 32;
+  size_t wanted = 0;
+  for (size_t i = 0; i < pattern.size() && i < kMaxPeek; ++i) {
+    if (pattern[i].kind != ArgSummary::Kind::kAny) wanted = i + 1;
+  }
+  StoredArg args[kMaxPeek];
+  const size_t read = CodeCodec::PeekArgs(payload, wanted, args);
+  for (size_t i = 0; i < read; ++i) {
+    const ArgSummary& s = pattern[i];
+    const StoredArg& a = args[i];
+    switch (s.kind) {
+      case ArgSummary::Kind::kAny:
+        continue;
+      case ArgSummary::Kind::kAtom:
+        // Equal names have equal hashes, so unequal hashes never unify.
+        if (a.kind != StoredArg::Kind::kAtom || a.value != s.value) {
+          return false;
+        }
+        continue;
+      case ArgSummary::Kind::kInt:
+        // The cell keeps 61 bits: compare what Unify compares.
+        if (a.kind != StoredArg::Kind::kInt ||
+            term::Cell::Int(static_cast<int64_t>(a.value)) !=
+                term::Cell::Int(static_cast<int64_t>(s.value))) {
+          return false;
+        }
+        continue;
+      case ArgSummary::Kind::kFloat:
+        if (a.kind != StoredArg::Kind::kFloat ||
+            term::Cell::FltFromBits(a.value) !=
+                term::Cell::FltFromBits(s.value)) {
+          return false;
+        }
+        continue;
+      case ArgSummary::Kind::kList:
+        if (a.kind != StoredArg::Kind::kCompound) return false;
+        continue;
+      case ArgSummary::Kind::kStruct:
+        // Functor hashes cover name and arity, like atom hashes.
+        if (a.kind != StoredArg::Kind::kCompound || a.value != s.value) {
+          return false;
+        }
+        continue;
+    }
+  }
+  return true;
+}
+
 ClauseStore::ClauseStore(storage::BufferPool* pool,
                          ExternalDictionary* external, CodeCodec* codec,
                          dict::Dictionary* dictionary)
@@ -780,22 +831,6 @@ base::Result<ClauseStore::RuleFetch> ClauseStore::FetchRulesDetailedLocked(
   return out;
 }
 
-base::Result<ClauseStore::FactCursor> ClauseStore::OpenFactScan(
-    ProcedureInfo* proc, const CallPattern& pattern) {
-  if (proc->mode != ProcedureMode::kFacts) {
-    return base::Status::InvalidArgument(proc->name + " is not a relation");
-  }
-  std::vector<uint64_t> keys;
-  if (proc->key_attrs.empty()) {
-    keys.push_back(storage::kBangWildcard);
-  } else {
-    for (uint32_t attr : proc->key_attrs) {
-      keys.push_back(KeyOfSummary(pattern[attr]));
-    }
-  }
-  return FactCursor(this, proc->relation->OpenScan(keys));
-}
-
 base::Result<std::vector<ClauseStore::FactMatch>> ClauseStore::CollectFacts(
     ProcedureInfo* proc, const CallPattern& pattern) {
   if (proc->mode != ProcedureMode::kFacts) {
@@ -816,15 +851,30 @@ base::Result<std::vector<ClauseStore::FactMatch>> ClauseStore::CollectFacts(
   // cursor otherwise. Other procedures' mutators proceed in parallel.
   std::shared_lock<obs::TrackedSharedMutex> catalog(latch_);
   std::shared_lock<obs::TrackedSharedMutex> latch(*proc->latch);
-  auto cursor = proc->relation->OpenScan(keys);
+  // Pre-unify in the page only when an argument is bound: an open call
+  // would pay the walk on every row for nothing. Rejects are tallied
+  // locally and published once, after the drain.
+  storage::BangFile::RowFilter filter;
+  uint64_t filtered = 0;
+  if (std::any_of(pattern.begin(), pattern.end(), [](const ArgSummary& s) {
+        return s.kind != ArgSummary::Kind::kAny;
+      })) {
+    filter = [&pattern, &filtered](std::string_view payload) {
+      if (FactRowMayMatch(payload, pattern)) return true;
+      ++filtered;
+      return false;
+    };
+  }
+  auto cursor = proc->relation->OpenScan(keys, std::move(filter));
   std::vector<FactMatch> out;
   storage::BangFile::Record record;
   while (cursor.Next(&record)) {
-    ++stats_.fact_rows_fetched;
     EDUCE_ASSIGN_OR_RETURN(term::AstPtr fact,
                            codec_->DecodeTerm(record.payload));
     out.push_back(FactMatch{std::move(fact), record.rid});
   }
+  stats_.fact_rows_fetched += out.size();
+  stats_.fact_rows_filtered += filtered;
   EDUCE_RETURN_IF_ERROR(cursor.status());
   return out;
 }
@@ -857,17 +907,6 @@ base::Result<uint64_t> ClauseStore::ScanAllFacts(ProcedureInfo* proc,
   }
   EDUCE_RETURN_IF_ERROR(cursor.status());
   return proc->version.load();
-}
-
-base::Result<term::AstPtr> ClauseStore::FactCursor::Next() {
-  storage::BangFile::Record record;
-  if (!cursor_.Next(&record)) {
-    status_ = cursor_.status();
-    return term::AstPtr(nullptr);
-  }
-  last_rid_ = record.rid;
-  ++store_->stats_.fact_rows_fetched;
-  return store_->codec_->DecodeTerm(record.payload);
 }
 
 base::Status ClauseStore::DeleteFact(ProcedureInfo* proc,

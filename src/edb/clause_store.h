@@ -62,6 +62,14 @@ CallPattern PatternFromCall(wam::Machine* machine, uint32_t arity);
 /// Summary of one (dereferenced) cell.
 ArgSummary SummaryOfCell(wam::Machine* machine, term::Cell cell);
 
+/// Fact-row pre-unification (paper §4): false only if some bound
+/// argument of `pattern` provably cannot unify with the stored row
+/// `payload` (CodeCodec::EncodeGroundTerm bytes), judged on the relative
+/// data in place. Atoms and functors compare external hashes, numbers
+/// compare the cell bits Unify compares; the walk stops after the first
+/// compound argument.
+bool FactRowMayMatch(std::string_view payload, const CallPattern& pattern);
+
 /// One external procedure's catalog entry (paper §4 structure 1: the
 /// procedures table, marking procedures as external).
 struct ProcedureInfo {
@@ -106,7 +114,8 @@ struct ProcedureInfo {
 struct ClauseStoreStats {
   base::RelaxedCounter facts_stored;
   base::RelaxedCounter rules_stored;
-  base::RelaxedCounter fact_rows_fetched;
+  base::RelaxedCounter fact_rows_fetched;   // rows decoded and shipped
+  base::RelaxedCounter fact_rows_filtered;  // rejected in the page
   base::RelaxedCounter bulk_fact_scans;    // ScanAllFacts calls (datalog)
   base::RelaxedCounter bulk_fact_rows;     // rows streamed by ScanAllFacts
   base::RelaxedCounter rule_rows_scanned;   // candidate rows examined
@@ -136,9 +145,7 @@ struct ClauseStoreStats {
 /// new payloads and then observe a cache entry built from old ones.
 /// CollectFacts/ScanAllFacts drain whole scans under one shared hold of
 /// the procedure latch because concurrent inserts may split BANG buckets
-/// and relocate records under an open cursor. OpenFactScan hands the
-/// cursor to the caller and is therefore *not* safe against concurrent
-/// mutators — single-threaded callers and tests only. ProcedureInfo
+/// and relocate records under an open cursor. ProcedureInfo
 /// pointers are stable (node-based map) and may be held across latch
 /// releases.
 ///
@@ -214,30 +221,9 @@ class ClauseStore {
   uint64_t AddMutationListener(MutationListener listener);
   void RemoveMutationListener(uint64_t token);
 
-  /// Streams facts matching `pattern` (bound args become BANG keys).
-  class FactCursor {
-   public:
-    /// Next matching fact as an AST; nullptr at end (check status()).
-    base::Result<term::AstPtr> Next();
-    const base::Status& status() const { return status_; }
-    /// Storage id of the fact last returned by Next() (for deletion).
-    storage::RecordId last_rid() const { return last_rid_; }
-
-   private:
-    friend class ClauseStore;
-    FactCursor(ClauseStore* store, storage::BangFile::Cursor cursor)
-        : store_(store), cursor_(std::move(cursor)) {}
-    ClauseStore* store_;
-    storage::BangFile::Cursor cursor_;
-    storage::RecordId last_rid_;
-    base::Status status_;
-  };
-
   /// Deletes the fact at `rid` from `proc`'s relation (rid from a
-  /// FactCursor that has not been interleaved with inserts).
+  /// CollectFacts match, with no insert into `proc` in between).
   base::Status DeleteFact(ProcedureInfo* proc, storage::RecordId rid);
-  base::Result<FactCursor> OpenFactScan(ProcedureInfo* proc,
-                                        const CallPattern& pattern);
 
   /// One matching fact plus its storage id (for deletion).
   struct FactMatch {
@@ -247,7 +233,11 @@ class ClauseStore {
   /// Drains a whole fact scan under a single read-latch hold and returns
   /// every match. This is the concurrency-safe retrieval path: the latch
   /// keeps mutators (whose inserts can split buckets and relocate
-  /// records) out for the duration of the scan.
+  /// records) out for the duration of the scan. Bound key attributes
+  /// select BANG buckets; every other bound atomic argument is
+  /// pre-unified against the stored row in the page (FactRowMayMatch),
+  /// so only rows that may unify are decoded. Necessary, not
+  /// sufficient: callers still unify each match.
   base::Result<std::vector<FactMatch>> CollectFacts(ProcedureInfo* proc,
                                                     const CallPattern& pattern);
 

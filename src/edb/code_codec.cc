@@ -360,6 +360,34 @@ base::Result<term::AstPtr> CodeCodec::DecodeTermFrom(std::string_view bytes,
   return base::Status::Corruption("bad stored term tag");
 }
 
+size_t CodeCodec::PeekArgs(std::string_view bytes, size_t count,
+                           StoredArg* out) {
+  // A compound is its tag, its functor hash, then its arguments in order;
+  // every atomic argument is one tag byte plus a u64.
+  constexpr size_t kCell = 1 + 8;
+  if (bytes.size() < kCell ||
+      static_cast<TermTag>(bytes[0]) != TermTag::kStruct) {
+    return 0;
+  }
+  size_t pos = kCell;
+  size_t n = 0;
+  while (n < count && pos + kCell <= bytes.size()) {
+    StoredArg arg;
+    switch (static_cast<TermTag>(bytes[pos])) {
+      case TermTag::kAtom: arg.kind = StoredArg::Kind::kAtom; break;
+      case TermTag::kInt: arg.kind = StoredArg::Kind::kInt; break;
+      case TermTag::kFloat: arg.kind = StoredArg::Kind::kFloat; break;
+      case TermTag::kStruct: arg.kind = StoredArg::Kind::kCompound; break;
+      default: return n;
+    }
+    std::memcpy(&arg.value, bytes.data() + pos + 1, 8);
+    pos += kCell;
+    out[n++] = arg;
+    if (arg.kind == StoredArg::Kind::kCompound) break;
+  }
+  return n;
+}
+
 base::Result<term::AstPtr> CodeCodec::DecodeTerm(std::string_view bytes) {
   size_t pos = 0;
   EDUCE_ASSIGN_OR_RETURN(term::AstPtr t, DecodeTermFrom(bytes, &pos));

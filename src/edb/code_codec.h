@@ -14,6 +14,16 @@
 
 namespace educe::edb {
 
+/// One top-level argument of a stored ground term, read in place by
+/// CodeCodec::PeekArgs without resolving any symbol.
+struct StoredArg {
+  enum class Kind : uint8_t { kAtom, kInt, kFloat, kCompound };
+  Kind kind = Kind::kCompound;
+  /// Atom: its external hash. Int: the stored 64-bit value. Float: the
+  /// stored double's bits. Compound: its functor's external hash.
+  uint64_t value = 0;
+};
+
 /// Serializes clause code for EDB storage and back (paper §3.1/§4): the
 /// stored form is *relative* — every symbol operand (atoms, functors,
 /// called predicates, builtins) is replaced by its external-dictionary
@@ -46,6 +56,16 @@ class CodeCodec {
   /// Relative bytes -> AST (interning symbols into the internal
   /// dictionary).
   base::Result<term::AstPtr> DecodeTerm(std::string_view bytes);
+
+  /// Reads up to `count` top-level arguments of the stored term `bytes`
+  /// into `out`, in place: the fact-row side of pre-unification, which
+  /// runs on relative data before anything is decoded (paper §4). Stops
+  /// after the first compound argument, whose extent depends on its
+  /// functor's arity — known only to the external dictionary. Returns the
+  /// number of arguments read; fewer than `count` also on an atomic term
+  /// or malformed bytes (decoding reports those).
+  static size_t PeekArgs(std::string_view bytes, size_t count,
+                         StoredArg* out);
 
   /// Statistics for the compiler-split bench: time spent resolving
   /// associative addresses is measured around DecodeClause by callers;

@@ -126,14 +126,12 @@ std::string BangFile::EncodeRecord(const std::vector<uint64_t>& keys,
   return bytes;
 }
 
-BangFile::Record BangFile::DecodeRecord(std::string_view bytes,
-                                        RecordId rid) const {
-  Record record;
-  record.keys.resize(num_attrs_);
-  std::memcpy(record.keys.data(), bytes.data(), num_attrs_ * sizeof(uint64_t));
-  record.payload.assign(bytes.substr(num_attrs_ * sizeof(uint64_t)));
-  record.rid = rid;
-  return record;
+void BangFile::DecodeRecord(std::string_view bytes, RecordId rid,
+                            Record* out) const {
+  out->keys.resize(num_attrs_);
+  std::memcpy(out->keys.data(), bytes.data(), num_attrs_ * sizeof(uint64_t));
+  out->payload.assign(bytes.substr(num_attrs_ * sizeof(uint64_t)));
+  out->rid = rid;
 }
 
 base::Status BangFile::InsertIntoChain(PageId primary,
@@ -227,8 +225,9 @@ base::Status BangFile::SplitBucket(uint64_t dir_index) {
   }
 
   // Redistribute.
+  Record record;
   for (const std::string& bytes : records) {
-    Record record = DecodeRecord(bytes, RecordId{});
+    DecodeRecord(bytes, RecordId{}, &record);
     const uint64_t address = ComputeAddress(record.keys);
     const PageId target =
         ((address >> local_depth) & 1ull) ? new_page_id : old_page_id;
@@ -310,8 +309,8 @@ base::Status BangFile::Delete(RecordId rid) {
   return base::Status::OK();
 }
 
-BangFile::Cursor BangFile::OpenScan(
-    const std::vector<uint64_t>& pattern) const {
+BangFile::Cursor BangFile::OpenScan(const std::vector<uint64_t>& pattern,
+                                    RowFilter filter) const {
   ++stats_.scans_opened;
   assert(pattern.size() == num_attrs_);
 
@@ -346,47 +345,63 @@ BangFile::Cursor BangFile::OpenScan(
     if (seen.insert(bucket).second) buckets.push_back(bucket);
   }
 
-  return Cursor(this, pattern, std::move(buckets));
+  return Cursor(this, pattern, std::move(buckets), std::move(filter));
 }
 
-bool BangFile::Cursor::Matches(const Record& record) const {
+bool BangFile::Cursor::KeysMatch(std::string_view bytes) const {
   for (uint32_t i = 0; i < file_->num_attrs_; ++i) {
-    if (pattern_[i] != kBangWildcard && pattern_[i] != record.keys[i]) {
-      return false;
-    }
+    if (pattern_[i] == kBangWildcard) continue;
+    uint64_t key;
+    std::memcpy(&key, bytes.data() + i * sizeof(uint64_t), sizeof(key));
+    if (key != pattern_[i]) return false;
   }
   return true;
 }
 
+bool BangFile::Cursor::PinPage(PageId id) {
+  auto page = file_->pool_->Fetch(id);
+  if (!page.ok()) {
+    status_ = page.status();
+    return false;
+  }
+  page_ = std::move(*page);
+  current_page_ = id;
+  slot_ = 0;
+  ++file_->stats_.buckets_scanned;
+  return true;
+}
+
 bool BangFile::Cursor::Next(Record* out) {
+  // Tallied locally and published once per call: the shared counters are
+  // atomics that concurrent scans would otherwise contend on per row.
+  uint64_t examined = 0;
+  uint64_t matched = 0;
+  auto finish = [&](bool found) {
+    file_->stats_.records_examined += examined;
+    file_->stats_.records_matched += matched;
+    return found;
+  };
+  const size_t key_bytes = file_->num_attrs_ * sizeof(uint64_t);
   while (true) {
-    if (current_page_ == kInvalidPage) {
-      if (bucket_index_ >= buckets_.size()) return false;
-      current_page_ = buckets_[bucket_index_++];
-      slot_ = 0;
-      ++file_->stats_.buckets_scanned;
+    if (!page_.valid()) {
+      if (bucket_index_ >= buckets_.size()) return finish(false);
+      if (!PinPage(buckets_[bucket_index_++])) return finish(false);
     }
-    auto page = file_->pool_->Fetch(current_page_);
-    if (!page.ok()) {
-      status_ = page.status();
-      return false;
-    }
-    SlottedPage view(page->data(), file_->pool_->page_size(), kReserved);
+    SlottedPage view(page_.data(), file_->pool_->page_size(), kReserved);
     while (slot_ < view.slot_count()) {
       const uint16_t current = slot_++;
       auto bytes = view.Get(current);
       if (!bytes) continue;
-      ++file_->stats_.records_examined;
-      Record record =
-          file_->DecodeRecord(*bytes, RecordId{current_page_, current});
-      if (Matches(record)) {
-        *out = std::move(record);
-        return true;
-      }
+      ++examined;
+      if (!KeysMatch(*bytes)) continue;
+      ++matched;
+      if (filter_ && !filter_(bytes->substr(key_bytes))) continue;
+      file_->DecodeRecord(*bytes, RecordId{current_page_, current}, out);
+      return finish(true);
     }
-    current_page_ = GetOverflow(page->data());
-    slot_ = 0;
-    if (current_page_ != kInvalidPage) ++file_->stats_.buckets_scanned;
+    const PageId next = GetOverflow(page_.data());
+    page_.Release();
+    if (next != kInvalidPage && !PinPage(next)) return finish(false);
   }
 }
 

@@ -2,6 +2,7 @@
 #define EDUCE_STORAGE_BANG_FILE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,8 +28,9 @@ struct BangFileStats {
   base::RelaxedCounter directory_doublings;
   base::RelaxedCounter overflow_pages;
   base::RelaxedCounter scans_opened;
-  base::RelaxedCounter buckets_scanned;
-  base::RelaxedCounter records_examined;
+  base::RelaxedCounter buckets_scanned;   // pages walked, overflow included
+  base::RelaxedCounter records_examined;  // live rows in the walked pages
+  base::RelaxedCounter records_matched;   // of those, rows the keys selected
 };
 
 /// A multi-attribute dynamic file in the grid-file family, standing in for
@@ -80,8 +82,21 @@ class BangFile {
   /// relocate records).
   base::Status Delete(RecordId rid);
 
+  /// Row predicate over a record's raw payload bytes, run in the page
+  /// after the bound keys matched. It may reject rows that cannot be
+  /// wanted (a necessary-only filter); it must not keep the view.
+  using RowFilter = std::function<bool(std::string_view payload)>;
+
   /// Partial-match scan: `pattern[i] == kBangWildcard` leaves attribute i
-  /// unbound. Bound attributes must match exactly.
+  /// unbound. Bound attributes must match exactly, and a row must pass
+  /// the optional RowFilter. Both checks run on the raw record bytes in
+  /// the pinned page, so only surviving rows are copied out.
+  ///
+  /// The cursor holds one pin on the page it is walking (a primary
+  /// bucket or one of its overflow pages) and releases it when it moves
+  /// to the next page, when it reaches the end, and when it is destroyed:
+  /// one pool access per page visited. A cursor must not be advanced
+  /// after its file was mutated.
   class Cursor {
    public:
     /// Advances to the next matching record; false at end.
@@ -91,22 +106,27 @@ class BangFile {
    private:
     friend class BangFile;
     Cursor(const BangFile* file, std::vector<uint64_t> pattern,
-           std::vector<PageId> buckets)
+           std::vector<PageId> buckets, RowFilter filter)
         : file_(file), pattern_(std::move(pattern)),
-          buckets_(std::move(buckets)) {}
+          buckets_(std::move(buckets)), filter_(std::move(filter)) {}
 
-    bool Matches(const Record& record) const;
+    bool KeysMatch(std::string_view bytes) const;
+    // Pins `id` as the page being walked; false (status set) on error.
+    bool PinPage(PageId id);
 
     const BangFile* file_;
     std::vector<uint64_t> pattern_;
     std::vector<PageId> buckets_;  // primary bucket pages to visit
+    RowFilter filter_;             // empty = accept every key match
     size_t bucket_index_ = 0;
-    PageId current_page_ = kInvalidPage;  // follows overflow chains
+    PageHandle page_;              // pin on the page being walked
+    PageId current_page_ = kInvalidPage;
     uint16_t slot_ = 0;
     base::Status status_;
   };
 
-  Cursor OpenScan(const std::vector<uint64_t>& pattern) const;
+  Cursor OpenScan(const std::vector<uint64_t>& pattern,
+                  RowFilter filter = nullptr) const;
 
   /// Number of live records (maintained incrementally).
   uint64_t record_count() const { return record_count_; }
@@ -134,7 +154,8 @@ class BangFile {
 
   static std::string EncodeRecord(const std::vector<uint64_t>& keys,
                                   std::string_view payload);
-  Record DecodeRecord(std::string_view bytes, RecordId rid) const;
+  // Copies `bytes` into `out`, reusing its buffers.
+  void DecodeRecord(std::string_view bytes, RecordId rid, Record* out) const;
 
   BufferPool* pool_;
   uint32_t num_attrs_;

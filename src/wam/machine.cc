@@ -1130,6 +1130,11 @@ base::Result<Cell> Machine::ImportAst(const term::Ast& t,
         EDUCE_ASSIGN_OR_RETURN(Cell c, ImportAst(*arg, var_cells));
         args.push_back(c);
       }
+      // '.'/2 is a list cell, as the compiler builds it: a structure
+      // would never unify with [H|T].
+      if (t.functor == dot_symbol_ && args.size() == 2) {
+        return NewList(args[0], args[1]);
+      }
       return NewStruct(t.functor, args);
     }
   }

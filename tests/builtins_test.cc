@@ -47,6 +47,16 @@ TEST_F(BuiltinsTest, SortDedupsAndOrders) {
   EXPECT_EQ(Solve("sort([], S)", "S"), (std::vector<std::string>{"[]"}));
 }
 
+// Terms rebuilt from an AST (copy_term, findall results) keep lists as
+// list cells, so they still unify with [H|T].
+TEST_F(BuiltinsTest, RebuiltListsStayLists) {
+  EXPECT_EQ(Solve("copy_term([a, b], X), X = [H|T]", "T"),
+            (std::vector<std::string>{"[b]"}));
+  EXPECT_EQ(Solve("findall(L, L = [a, b], R), R = [[H|T]]", "T"),
+            (std::vector<std::string>{"[b]"}));
+  EXPECT_TRUE(Succeeds("copy_term(f([a]), Y), Y = f([_|[]])"));
+}
+
 TEST_F(BuiltinsTest, SortUsesStandardOrder) {
   // Var < Number < Atom < Compound; floats before equal ints.
   EXPECT_EQ(Solve("msort([f(1), foo, 2, 1.5], S)", "S"),

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "edb/external_dictionary.h"
 #include "educe/engine.h"
 #include "reader/parser.h"
 #include "reader/writer.h"
@@ -369,6 +370,96 @@ TEST_P(DifferentialTest, WamMatchesReferenceInterpreter) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Values(101, 202, 303, 404, 505, 606, 707,
                                            808, 909, 1010));
+
+// Fact pre-unification in the page: EDB fact relations bound on non-key
+// arguments must answer exactly like the same facts consulted in memory.
+// The facts put the filter's edge cases in columns outside the BANG key.
+class FactFilterDifferentialTest : public ::testing::Test {
+ protected:
+  // An atom whose external hash, read as an integer, is a non-negative
+  // 61-bit value: a stored atom and a stored int then carry equal u64
+  // bits, and only their tags tell them apart.
+  static std::pair<std::string, std::string> AtomAndEqualInt() {
+    for (int i = 0;; ++i) {
+      const std::string name = "k" + std::to_string(i);
+      const uint64_t hash = edb::ExternalDictionary::HashOf(name, 0);
+      if (hash < (1ull << 60)) return {name, std::to_string(hash)};
+    }
+  }
+
+  static std::vector<std::string> Sorted(std::vector<std::string> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  }
+
+  // Facts r(Id, A, B, C): the BANG key is Id alone.
+  std::string Facts(bool with_retracted) const {
+    std::string facts =
+        "r(1, a, 10, 1.5).\n"
+        "r(2, b, 20, 2.5).\n"
+        "r(3, a, 0, 0.0).\n"
+        "r(4, c, 0.0, 0).\n"
+        "r(5, f(a), a, 7).\n"
+        "r(6, [x, y], b, 8).\n"
+        "r(7, " + atom_ + ", " + int_ + ", 1.0000000000000002).\n"
+        "r(8, " + int_ + ", " + atom_ + ", 1.0).\n"
+        "r(9, g(b, c), 20, -0.0).\n";
+    if (with_retracted) facts += "r(10, d, 30, 3.5).\n";
+    return facts;
+  }
+
+  std::vector<std::string> Queries() const {
+    return {
+        "r(X, a, Y, Z)",        "r(X, b, 20, Z)",
+        "r(X, Y, 0, Z)",        "r(X, Y, 0.0, Z)",
+        "r(X, Y, Z, 0)",        "r(X, Y, Z, 0.0)",
+        "r(X, Y, Z, -0.0)",     "r(X, Y, a, Z)",
+        "r(X, f(a), Y, Z)",     "r(X, f(b), Y, Z)",
+        "r(X, g(b, C), 20, Z)", "r(X, [x|T], Y, Z)",
+        "r(X, Y, Z, 1.0)",      "r(X, " + atom_ + ", Y, Z)",
+        "r(X, " + int_ + ", Y, Z)", "r(X, Y, " + atom_ + ", Z)",
+        "r(X, Y, " + int_ + ", Z)", "r(X, Y, Z, W)",
+        "r(X, d, Y, Z)",        "z",
+    };
+  }
+
+  const std::string atom_ = AtomAndEqualInt().first;
+  const std::string int_ = AtomAndEqualInt().second;
+};
+
+TEST_F(FactFilterDifferentialTest, EdbFactsMatchConsultedFacts) {
+  Engine memory;
+  ASSERT_TRUE(memory.Consult(Facts(true) + "z.\n").ok());
+  Engine edb;
+  ASSERT_TRUE(edb.DeclareRelation("r", 4, {0}).ok());
+  ASSERT_TRUE(edb.DeclareRelation("z", 0).ok());
+  ASSERT_TRUE(edb.StoreFactsExternal(Facts(true) + "z.\n").ok());
+
+  for (const std::string& query : Queries()) {
+    EXPECT_EQ(Sorted(EngineSolutions(&edb, query, 100)),
+              Sorted(EngineSolutions(&memory, query, 100)))
+        << query;
+  }
+  // Not vacuous: the edge cases do match where unification says so.
+  EXPECT_EQ(EngineSolutions(&memory, "r(X, Y, Z, 1.0)", 100).size(), 2u);
+  EXPECT_EQ(EngineSolutions(&memory, "r(X, [x|T], Y, Z)", 100).size(), 1u);
+  EXPECT_EQ(EngineSolutions(&memory, "r(X, Y, " + int_ + ", Z)", 100).size(),
+            1u);
+  // Some rows were rejected in the page, before decoding.
+  EXPECT_GT(edb.Stats().clause_store.fact_rows_filtered, 0u);
+
+  // edb_retract bound on a non-key argument removes exactly its match.
+  Engine retracted;
+  ASSERT_TRUE(retracted.Consult(Facts(false)).ok());
+  EXPECT_EQ(EngineSolutions(&edb, "edb_retract(r(X, d, Y, Z))", 10).size(),
+            1u);
+  EXPECT_EQ(EngineSolutions(&edb, "edb_retract(r(X, d, Y, Z))", 10).size(),
+            0u);
+  EXPECT_EQ(Sorted(EngineSolutions(&edb, "r(X, Y, Z, W)", 100)),
+            Sorted(EngineSolutions(&retracted, "r(X, Y, Z, W)", 100)));
+  EXPECT_EQ(EngineSolutions(&edb, "edb_retract(z)", 10).size(), 1u);
+  EXPECT_TRUE(EngineSolutions(&edb, "z", 10).empty());
+}
 
 }  // namespace
 }  // namespace educe

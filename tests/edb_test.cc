@@ -143,29 +143,20 @@ TEST_F(EdbTest, FactStoreAndScan) {
   CallPattern pattern(2);
   pattern[0] = ArgSummary{ArgSummary::Kind::kAtom,
                           ExternalDictionary::HashOf("a", 0)};
-  auto cursor = store_.OpenFactScan(*proc, pattern);
-  ASSERT_TRUE(cursor.ok());
-  int count = 0;
-  while (true) {
-    auto fact = cursor->Next();
-    ASSERT_TRUE(fact.ok());
-    if (*fact == nullptr) break;
-    EXPECT_EQ(dict_.NameOf((**fact).args[0]->functor), "a");
-    ++count;
+  auto matches = store_.CollectFacts(*proc, pattern);
+  ASSERT_TRUE(matches.ok()) << matches.status();
+  EXPECT_EQ(matches->size(), 2u);
+  for (const ClauseStore::FactMatch& match : *matches) {
+    EXPECT_EQ(dict_.NameOf(match.fact->args[0]->functor), "a");
   }
-  EXPECT_EQ(count, 2);
 
   // Fully bound: exactly one.
   pattern[1] = ArgSummary{ArgSummary::Kind::kAtom,
                           ExternalDictionary::HashOf("c", 0)};
-  auto exact = store_.OpenFactScan(*proc, pattern);
-  ASSERT_TRUE(exact.ok());
-  auto fact = exact->Next();
-  ASSERT_TRUE(fact.ok());
-  ASSERT_NE(*fact, nullptr);
-  auto none = exact->Next();
-  ASSERT_TRUE(none.ok());
-  EXPECT_EQ(*none, nullptr);
+  auto exact = store_.CollectFacts(*proc, pattern);
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  ASSERT_EQ(exact->size(), 1u);
+  EXPECT_EQ(dict_.NameOf((*exact)[0].fact->args[1]->functor), "c");
 }
 
 TEST_F(EdbTest, FactStoreRejectsNonGround) {
@@ -364,16 +355,9 @@ TEST_F(EdbTest, KeyAttributeSelectionControlsClustering) {
   CallPattern pattern(3);
   pattern[1] = ArgSummary{ArgSummary::Kind::kAtom,
                           ExternalDictionary::HashOf("grp2", 0)};
-  auto cursor = store_.OpenFactScan(*proc, pattern);
-  ASSERT_TRUE(cursor.ok());
-  int count = 0;
-  while (true) {
-    auto fact = cursor->Next();
-    ASSERT_TRUE(fact.ok());
-    if (*fact == nullptr) break;
-    ++count;
-  }
-  EXPECT_EQ(count, 50);
+  auto matches = store_.CollectFacts(*proc, pattern);
+  ASSERT_TRUE(matches.ok()) << matches.status();
+  EXPECT_EQ(matches->size(), 50u);
 
   // Out-of-range key attribute is rejected at declaration.
   EXPECT_FALSE(store_.Declare("bad", 2, ProcedureMode::kFacts, {5}).ok());

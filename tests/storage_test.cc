@@ -375,6 +375,113 @@ TEST(BangFileTest, OversizeRecordRejected) {
   EXPECT_EQ(seen, std::vector<std::string>{"kept"});
 }
 
+uint64_t PoolAccesses(const BufferPool& pool) {
+  return pool.stats().hits + pool.stats().misses;
+}
+
+// A cursor pins each page once while it walks the page's slots, so a
+// scan costs one pool access per page — primary buckets and overflow
+// pages alike — however many records the pages hold.
+TEST(BangFileTest, ScanCostsOnePoolAccessPerPage) {
+  PagedFile file;
+  BufferPool pool(&file, 64);
+  auto bang = BangFile::Create(&pool, 1);
+  ASSERT_TRUE(bang.ok());
+  const std::string payload(100, 'p');
+  for (uint64_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(bang->Insert({i}, payload).ok());
+  }
+  // One key repeated past a page's capacity: its bucket splits to the
+  // maximum depth and then chains overflow pages.
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(bang->Insert({7}, payload).ok());
+  }
+  ASSERT_GT(bang->stats().overflow_pages, 1u);
+
+  for (const std::vector<uint64_t>& pattern :
+       {std::vector<uint64_t>{kBangWildcard}, std::vector<uint64_t>{7}}) {
+    const uint64_t accesses = PoolAccesses(pool);
+    const uint64_t pages = bang->stats().buckets_scanned;
+    const uint64_t rows = bang->stats().records_examined;
+    auto cursor = bang->OpenScan(pattern);
+    BangFile::Record record;
+    uint64_t matched = 0;
+    while (cursor.Next(&record)) ++matched;
+    ASSERT_TRUE(cursor.status().ok());
+    const uint64_t visited = bang->stats().buckets_scanned - pages;
+    EXPECT_EQ(matched, pattern[0] == 7 ? 201u : 500u);
+    EXPECT_GT(visited, bang->stats().overflow_pages);
+    EXPECT_EQ(PoolAccesses(pool) - accesses, visited);
+    EXPECT_GT(bang->stats().records_examined - rows, 2 * visited);
+  }
+}
+
+// The row filter sees the payload of key-matching rows only, and a row
+// it rejects is never returned.
+TEST(BangFileTest, RowFilterRejectsInThePage) {
+  PagedFile file;
+  BufferPool pool(&file, 32);
+  auto bang = BangFile::Create(&pool, 1);
+  ASSERT_TRUE(bang.ok());
+  for (uint64_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(bang->Insert({i % 5}, std::to_string(i)).ok());
+  }
+  uint64_t offered = 0;
+  auto cursor = bang->OpenScan({3}, [&offered](std::string_view payload) {
+    ++offered;
+    return payload.back() == '8';
+  });
+  BangFile::Record record;
+  std::set<std::string> seen;
+  while (cursor.Next(&record)) seen.insert(record.payload);
+  ASSERT_TRUE(cursor.status().ok());
+  EXPECT_EQ(offered, 100u);  // i % 5 == 3
+  EXPECT_EQ(seen.size(), 50u);  // ... and i ends in 8
+  for (const std::string& p : seen) EXPECT_EQ(p.back(), '8');
+  EXPECT_EQ(bang->stats().records_matched, 100u);
+}
+
+// In a pool of two frames (the smallest the engine allows) a cursor that
+// is exhausted, or abandoned mid-page, must leave no pin behind:
+// otherwise an insert or a resize after the scan would find every frame
+// pinned.
+TEST(BangFileTest, FinishedOrAbandonedCursorLeavesNoPin) {
+  PagedFile file;
+  BufferPool pool(&file, 2);
+  auto bang = BangFile::Create(&pool, 1);
+  ASSERT_TRUE(bang.ok());
+  const std::string payload(100, 'p');
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(bang->Insert({i}, payload).ok());
+  }
+  ASSERT_GT(file.page_count(), 4u);
+  auto both_frames_free = [&]() {
+    auto a = pool.Fetch(0);
+    auto b = pool.Fetch(file.page_count() - 1);
+    return a.ok() && b.ok();
+  };
+
+  auto exhausted = bang->OpenScan({kBangWildcard});
+  BangFile::Record record;
+  uint64_t count = 0;
+  while (exhausted.Next(&record)) ++count;
+  ASSERT_TRUE(exhausted.status().ok());
+  EXPECT_EQ(count, 200u);
+  EXPECT_TRUE(both_frames_free());  // `exhausted` is still alive
+  EXPECT_TRUE(bang->Insert({1000}, payload).ok());
+
+  {
+    auto abandoned = bang->OpenScan({kBangWildcard});
+    ASSERT_TRUE(abandoned.Next(&record));  // pins its first page
+  }
+  EXPECT_TRUE(both_frames_free());
+  EXPECT_TRUE(bang->Insert({1001}, payload).ok());
+  ASSERT_TRUE(pool.Resize(4).ok());
+  ASSERT_TRUE(pool.Resize(2).ok());
+  EXPECT_EQ(pool.num_frames(), 2u);
+  EXPECT_TRUE(both_frames_free());
+}
+
 // Property: BANG partial-match results always equal a model filter.
 class BangPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
