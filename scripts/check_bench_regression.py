@@ -44,6 +44,7 @@ SKIP_PATTERNS = [
     r"_ms$",
     r"_ns$",
     r"_s$",
+    r"_ns_per_iter$",
     r"speedup",
     r"overhead",
     r"_vs_",
@@ -191,6 +192,7 @@ def self_test():
         "bench": "selftest",                  # other strings still gate
         "dormant_ok": 1,           # bench self-verdict: exact
         "overhead_ratio": 1.001,   # matches 'overhead': never guarded
+        "raw_ns_per_iter": 441.0,  # wall-clock per iteration: never guarded
     }
 
     def run(results):
@@ -226,6 +228,8 @@ def self_test():
 
     # Wall-clock never gates, whatever the machine shape.
     expect("wall-clock skip", run(dict(base, warm_ms=9999.0)), [])
+    expect("per-iteration wall-clock skip",
+           run(dict(base, raw_ns_per_iter=553.0)), [])
 
     # Exact metrics tolerate nothing.
     expect("exact", run(dict(base, solutions=101)), ["selftest.solutions"])

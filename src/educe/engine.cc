@@ -710,11 +710,18 @@ base::Result<std::unique_ptr<Solutions>> Engine::Query(std::string_view goal,
   // worker sessions read lock-free; route queries through a Session
   // while any are open.
   EDUCE_RETURN_IF_ERROR(RefuseIfSessionsActive("Engine::Query"));
-  if (query_active_) {
+  return OpenQuery({machine_.get(), &resolver_, &query_active_}, goal,
+                   trace_id);
+}
+
+base::Result<std::unique_ptr<Solutions>> Engine::OpenQuery(
+    const QueryOwner& owner, std::string_view goal, uint64_t trace_id) {
+  if (*owner.query_active) {
     return base::Status::FailedPrecondition(
-        "Engine::Query refused: a Solutions from a previous query is still "
-        "active on this machine (at most one per machine; destroy it first)");
+        "Query refused: a Solutions from a previous query is still active on "
+        "this machine (at most one per machine; destroy it first)");
   }
+  const base::Stopwatch watch;  // a bottom-up query evaluates in TryQuery
   // Correlation id for every span this query records, from parse through
   // Datalog evaluation / WAM setup here and each Next() pump later
   // (DESIGN.md §16.2). Callers (the server) may pass one through.
@@ -722,6 +729,7 @@ base::Result<std::unique_ptr<Solutions>> Engine::Query(std::string_view goal,
   obs::TraceIdScope trace_scope(trace_id);
   EDUCE_ASSIGN_OR_RETURN(reader::ReadTerm read,
                          reader::ParseTerm(&dictionary_, goal));
+  std::unique_ptr<Solutions> solutions;
   if (options_.datalog) {
     // Offer the goal to the bottom-up evaluator first; handled=false is
     // the fallback contract (out of Datalog range, strategy says WAM, or
@@ -729,30 +737,44 @@ base::Result<std::unique_ptr<Solutions>> Engine::Query(std::string_view goal,
     EDUCE_ASSIGN_OR_RETURN(DatalogManager::Answer answer,
                            datalog_->TryQuery(read));
     if (answer.handled) {
-      std::unique_ptr<Solutions> solutions(
+      solutions.reset(
           new Solutions(&dictionary_, std::move(read), std::move(answer)));
-      query_active_ = true;
-      solutions->query_active_flag_ = &query_active_;
-      solutions->trace_id_ = trace_id;
-      AttachObservation(solutions.get(), goal, machine_.get(), &resolver_,
-                        /*session_latency=*/nullptr);
-      return solutions;
     }
   }
-  EDUCE_RETURN_IF_ERROR(machine_->StartQuery(read.term, read.num_vars));
-  std::unique_ptr<Solutions> solutions(
-      new Solutions(machine_.get(), &dictionary_, std::move(read)));
-  query_active_ = true;
-  solutions->query_active_flag_ = &query_active_;
+  if (solutions == nullptr) {
+    EDUCE_RETURN_IF_ERROR(owner.machine->StartQuery(read.term, read.num_vars));
+    solutions.reset(new Solutions(owner.machine, &dictionary_, std::move(read)));
+  }
+  *owner.query_active = true;
   solutions->trace_id_ = trace_id;
-  AttachObservation(solutions.get(), goal, machine_.get(), &resolver_,
-                    /*session_latency=*/nullptr);
+  AttachObservation(solutions.get(), goal, owner, watch);
   return solutions;
 }
 
-base::Result<bool> Engine::Succeeds(std::string_view goal) {
-  EDUCE_ASSIGN_OR_RETURN(std::unique_ptr<Solutions> solutions, Query(goal));
+namespace {
+// The shared bodies of Engine:: and Session::Succeeds / CountSolutions.
+base::Result<bool> AnySolution(
+    base::Result<std::unique_ptr<Solutions>> opened) {
+  EDUCE_ASSIGN_OR_RETURN(std::unique_ptr<Solutions> solutions,
+                         std::move(opened));
   return solutions->Next();
+}
+
+base::Result<uint64_t> CountAll(
+    base::Result<std::unique_ptr<Solutions>> opened) {
+  EDUCE_ASSIGN_OR_RETURN(std::unique_ptr<Solutions> solutions,
+                         std::move(opened));
+  uint64_t count = 0;
+  while (true) {
+    EDUCE_ASSIGN_OR_RETURN(bool more, solutions->Next());
+    if (!more) return count;
+    ++count;
+  }
+}
+}  // namespace
+
+base::Result<bool> Engine::Succeeds(std::string_view goal) {
+  return AnySolution(Query(goal));
 }
 
 base::Result<std::map<std::string, std::string>> Engine::First(
@@ -765,14 +787,7 @@ base::Result<std::map<std::string, std::string>> Engine::First(
 }
 
 base::Result<uint64_t> Engine::CountSolutions(std::string_view goal) {
-  EDUCE_ASSIGN_OR_RETURN(std::unique_ptr<Solutions> solutions, Query(goal));
-  uint64_t count = 0;
-  while (true) {
-    EDUCE_ASSIGN_OR_RETURN(bool more, solutions->Next());
-    if (!more) break;
-    ++count;
-  }
-  return count;
+  return CountAll(Query(goal));
 }
 
 base::Status Engine::ResetBufferCache(bool drop_code_cache) {
@@ -821,14 +836,35 @@ base::Result<uint64_t> Engine::CollectDictionary() {
 }
 
 namespace {
-void MergeResolverStats(edb::ResolverStats* into, const edb::ResolverStats& s) {
-  into->fact_calls += s.fact_calls;
-  into->fact_calls_deterministic += s.fact_calls_deterministic;
-  into->rule_loads += s.rule_loads;
-  into->source_parses += s.source_parses;
-  into->source_asserts += s.source_asserts;
-  into->source_erases += s.source_erases;
-  into->resolve_ns += s.resolve_ns;
+// The counters a query's footprint is diffed over and published into.
+constexpr uint64_t wam::MachineStats::*kMachineCounters[] = {
+    &wam::MachineStats::instructions,
+    &wam::MachineStats::calls,
+    &wam::MachineStats::choice_points,
+    &wam::MachineStats::choice_points_eliminated,
+    &wam::MachineStats::backtracks,
+    &wam::MachineStats::gc_runs,
+    &wam::MachineStats::cells_collected,
+    &wam::MachineStats::external_resolutions,
+    &wam::MachineStats::trail_entries,
+};
+constexpr uint64_t edb::ResolverStats::*kResolverCounters[] = {
+    &edb::ResolverStats::fact_calls,
+    &edb::ResolverStats::fact_calls_deterministic,
+    &edb::ResolverStats::rule_loads,
+    &edb::ResolverStats::source_parses,
+    &edb::ResolverStats::source_asserts,
+    &edb::ResolverStats::source_erases,
+    &edb::ResolverStats::resolve_ns,
+};
+
+// Field-wise `*into += add - sub` over `counters`.
+template <typename Stats, size_t N>
+void AddCounters(Stats* into, const Stats& add, const Stats& sub,
+                 uint64_t Stats::*const (&counters)[N]) {
+  for (uint64_t Stats::*counter : counters) {
+    into->*counter += add.*counter - sub.*counter;
+  }
 }
 }  // namespace
 
@@ -852,65 +888,22 @@ Session::Session(Engine* engine, uint64_t serial)
 }
 
 Session::~Session() {
-  // Fold the per-worker latency histogram in before touching the session
-  // registry: obs_mu_ is a leaf lock and is never nested inside
-  // sessions_mu_ (or vice versa).
-  engine_->MergeSessionLatency(latency_);
   std::lock_guard<obs::TrackedMutex> lock(engine_->sessions_mu_);
-  MergeResolverStats(&engine_->retired_session_stats_, resolver_.stats());
   --engine_->active_sessions_;
 }
 
 base::Result<std::unique_ptr<Solutions>> Session::Query(std::string_view goal,
                                                         uint64_t trace_id) {
-  if (query_active_) {
-    return base::Status::FailedPrecondition(
-        "Session::Query refused: a Solutions from a previous query is still "
-        "active on this machine (at most one per machine; destroy it first)");
-  }
-  if (trace_id == 0) trace_id = obs::MintTraceId();
-  obs::TraceIdScope trace_scope(trace_id);
-  EDUCE_ASSIGN_OR_RETURN(reader::ReadTerm read,
-                         reader::ParseTerm(&engine_->dictionary_, goal));
-  if (engine_->options_.datalog) {
-    EDUCE_ASSIGN_OR_RETURN(DatalogManager::Answer answer,
-                           engine_->datalog_->TryQuery(read));
-    if (answer.handled) {
-      std::unique_ptr<Solutions> solutions(new Solutions(
-          &engine_->dictionary_, std::move(read), std::move(answer)));
-      query_active_ = true;
-      solutions->query_active_flag_ = &query_active_;
-      solutions->trace_id_ = trace_id;
-      engine_->AttachObservation(solutions.get(), goal, machine_.get(),
-                                 &resolver_, &latency_);
-      return solutions;
-    }
-  }
-  EDUCE_RETURN_IF_ERROR(machine_->StartQuery(read.term, read.num_vars));
-  std::unique_ptr<Solutions> solutions(
-      new Solutions(machine_.get(), &engine_->dictionary_, std::move(read)));
-  query_active_ = true;
-  solutions->query_active_flag_ = &query_active_;
-  solutions->trace_id_ = trace_id;
-  engine_->AttachObservation(solutions.get(), goal, machine_.get(), &resolver_,
-                             &latency_);
-  return solutions;
+  return engine_->OpenQuery({machine_.get(), &resolver_, &query_active_}, goal,
+                            trace_id);
 }
 
 base::Result<bool> Session::Succeeds(std::string_view goal) {
-  EDUCE_ASSIGN_OR_RETURN(std::unique_ptr<Solutions> solutions, Query(goal));
-  return solutions->Next();
+  return AnySolution(Query(goal));
 }
 
 base::Result<uint64_t> Session::CountSolutions(std::string_view goal) {
-  EDUCE_ASSIGN_OR_RETURN(std::unique_ptr<Solutions> solutions, Query(goal));
-  uint64_t count = 0;
-  while (true) {
-    EDUCE_ASSIGN_OR_RETURN(bool more, solutions->Next());
-    if (!more) break;
-    ++count;
-  }
-  return count;
+  return CountAll(Query(goal));
 }
 
 base::Result<std::unique_ptr<Session>> Engine::OpenSession() {
@@ -998,7 +991,7 @@ base::Result<std::vector<SolveOutcome>> Engine::SolveParallel(
   }
   worker(sessions[0].get());  // the calling thread is worker 0
   for (std::thread& t : threads) t.join();
-  sessions.clear();  // retire: merge resolver stats, release the freeze
+  sessions.clear();  // release the freeze
 
   if (!first_error.ok()) return first_error;
   return results;
@@ -1015,11 +1008,10 @@ EngineStats Engine::Stats() {
   stats.code_cache = loader_.cache_stats();
   stats.resolver = resolver_.stats();
   {
-    // Retired worker sessions fold their EDB-trap counters in, so the
-    // aggregate view covers parallel work too (live sessions merge on
-    // retirement).
-    std::lock_guard<obs::TrackedMutex> lock(sessions_mu_);
-    MergeResolverStats(&stats.resolver, retired_session_stats_);
+    // Session queries published their footprint as they retired.
+    std::lock_guard<obs::TrackedMutex> lock(obs_mu_);
+    AddCounters(&stats.machine, session_machine_, {}, kMachineCounters);
+    AddCounters(&stats.resolver, session_resolver_, {}, kResolverCounters);
   }
   stats.compiler = program_.compiler()->stats();
   stats.datalog = datalog_->stats();
@@ -1053,13 +1045,11 @@ void Engine::ResetStats() {
   loader_.ResetStats();
   resolver_.ResetStats();
   program_.compiler()->ResetStats();
-  {
-    std::lock_guard<obs::TrackedMutex> lock(sessions_mu_);
-    retired_session_stats_ = edb::ResolverStats{};
-  }
+  query_latency_.Reset();
   {
     std::lock_guard<obs::TrackedMutex> lock(obs_mu_);
-    query_latency_.Reset();
+    session_machine_ = wam::MachineStats{};
+    session_resolver_ = edb::ResolverStats{};
     recent_profiles_.clear();
     op_class_totals_.fill(0);
     digram_totals_.reset();
@@ -1069,18 +1059,20 @@ void Engine::ResetStats() {
 }
 
 void Engine::AttachObservation(Solutions* solutions, std::string_view goal,
-                               wam::Machine* machine,
-                               edb::EdbResolver* resolver,
-                               obs::Histogram* session_latency) {
+                               const QueryOwner& owner,
+                               const base::Stopwatch& watch) {
   const bool collect = options_.profiling || options_.slow_query_ns > 0;
+  // The engine's own machine and resolver are the base of Stats(); a
+  // session's query adds its footprint to the engine's totals.
+  const bool publish = owner.machine != machine_.get();
   // Counter snapshot at query start; the finalizer diffs against it at
-  // retirement so the profile holds exactly this query's footprint even
+  // retirement so the deltas hold exactly this owner's footprint even
   // though the underlying counters are lifetime totals.
   struct Snapshot {
     base::Stopwatch watch;
     std::string goal;
     wam::MachineStats machine;
-    uint64_t resolver_resolve_ns = 0;
+    edb::ResolverStats resolver;
     uint64_t decode_ns = 0;
     uint64_t link_ns = 0;
     uint64_t clauses_decoded = 0;
@@ -1089,10 +1081,11 @@ void Engine::AttachObservation(Solutions* solutions, std::string_view goal,
     uint64_t buffer_hits = 0;
   };
   auto snap = std::make_shared<Snapshot>();
-  snap->goal = std::string(goal);
+  snap->watch = watch;
+  snap->machine = owner.machine->stats();
+  snap->resolver = owner.resolver->stats();
   if (collect) {
-    snap->machine = machine->stats();
-    snap->resolver_resolve_ns = resolver->stats().resolve_ns;
+    snap->goal = std::string(goal);
     const edb::LoaderStats& l = loader_.stats();
     snap->decode_ns = l.decode_ns;
     snap->link_ns = l.link_ns;
@@ -1102,39 +1095,41 @@ void Engine::AttachObservation(Solutions* solutions, std::string_view goal,
     snap->pages_read = file_.stats().pages_read;
     snap->buffer_hits = pool_.stats().hits;
   }
-  solutions->on_retire_ = [this, snap, machine, resolver, session_latency,
-                           collect](uint64_t solutions_seen) {
+  solutions->on_retire_ = [this, snap, owner, collect,
+                           publish](uint64_t solutions_seen) {
+    *owner.query_active = false;  // the owner may open its next query
     const uint64_t total_ns = snap->watch.ElapsedNanos();
-    if (session_latency != nullptr) {
-      // Per-worker histogram, merged when the session retires: no engine
-      // lock on the parallel query path.
-      session_latency->Record(total_ns);
-    } else {
+    query_latency_.Record(total_ns);
+    wam::MachineStats m;
+    AddCounters(&m, owner.machine->stats(), snap->machine, kMachineCounters);
+    edb::ResolverStats r;
+    AddCounters(&r, owner.resolver->stats(), snap->resolver,
+                kResolverCounters);
+    if (publish) {
       std::lock_guard<obs::TrackedMutex> lock(obs_mu_);
-      query_latency_.Record(total_ns);
+      AddCounters(&session_machine_, m, {}, kMachineCounters);
+      AddCounters(&session_resolver_, r, {}, kResolverCounters);
     }
     // Governor heartbeat: every Nth retirement (engine or session alike)
     // runs a rebalance on this thread. No lock is held here.
     if (governor_ != nullptr) governor_->NoteRetirement();
     if (!collect) return;
     obs::QueryProfile p;
-    p.goal = snap->goal;
+    p.goal = std::move(snap->goal);
     p.total_ns = total_ns;
     p.solutions = solutions_seen;
-    const wam::MachineStats m = machine->stats();
-    p.instructions = m.instructions - snap->machine.instructions;
-    p.calls = m.calls - snap->machine.calls;
-    p.choice_points_created = m.choice_points - snap->machine.choice_points;
-    p.choice_points_eliminated =
-        m.choice_points_eliminated - snap->machine.choice_points_eliminated;
-    p.backtracks = m.backtracks - snap->machine.backtracks;
-    p.trail_entries = m.trail_entries - snap->machine.trail_entries;
+    p.instructions = m.instructions;
+    p.calls = m.calls;
+    p.choice_points_created = m.choice_points;
+    p.choice_points_eliminated = m.choice_points_eliminated;
+    p.backtracks = m.backtracks;
+    p.trail_entries = m.trail_entries;
     // The emulator profile is reset per StartQuery, so it is already
     // query-scoped; no diffing needed.
-    const obs::EmulatorProfile& ep = machine->profile();
+    const obs::EmulatorProfile& ep = owner.machine->profile();
     p.op_class = ep.op_class;
     p.heap_high_water = ep.heap_high_water;
-    p.resolve_ns = resolver->stats().resolve_ns - snap->resolver_resolve_ns;
+    p.resolve_ns = r.resolve_ns;
     const edb::LoaderStats& l = loader_.stats();
     p.decode_ns = l.decode_ns - snap->decode_ns;
     p.link_ns = l.link_ns - snap->link_ns;
@@ -1179,14 +1174,8 @@ void Engine::FileQueryProfile(obs::QueryProfile profile,
   }
 }
 
-void Engine::MergeSessionLatency(const obs::Histogram& latency) {
-  std::lock_guard<obs::TrackedMutex> lock(obs_mu_);
-  query_latency_.Merge(latency);
-}
-
 obs::Histogram Engine::QueryLatencyHistogram() const {
-  std::lock_guard<obs::TrackedMutex> lock(obs_mu_);
-  return query_latency_;
+  return query_latency_.Snapshot();
 }
 
 std::vector<obs::QueryProfile> Engine::RecentProfiles() const {
@@ -1195,8 +1184,8 @@ std::vector<obs::QueryProfile> Engine::RecentProfiles() const {
 }
 
 std::string Engine::ExportMetricsJson() {
-  // Stats() takes sessions_mu_ and per-shard cache locks; collect it (and
-  // the loader's per-procedure histograms) before touching obs_mu_.
+  // Stats() takes obs_mu_ and per-shard cache locks; collect it (and the
+  // loader's per-procedure histograms) before taking obs_mu_ here.
   const EngineStats stats = Stats();
   std::string procs;
   loader_.ForEachProcCost([&procs](const std::string& name,
@@ -1208,14 +1197,13 @@ std::string Engine::ExportMetricsJson() {
              ",\"link_ns\":" + link.ToJson() + "}";
   });
 
-  obs::Histogram latency;
+  const obs::Histogram latency = query_latency_.Snapshot();
   std::deque<obs::QueryProfile> recent;
   std::array<uint64_t, obs::kOpClassCount> op_totals{};
   std::unique_ptr<obs::EmulatorProfile::DigramArray> digrams;
   uint64_t collected = 0;
   {
     std::lock_guard<obs::TrackedMutex> lock(obs_mu_);
-    latency = query_latency_;
     recent = recent_profiles_;
     op_totals = op_class_totals_;
     if (digram_totals_ != nullptr) {
@@ -1374,17 +1362,12 @@ std::string Engine::ExportMetricsJson() {
   return out;
 }
 
-Solutions::~Solutions() {
-  // Free the machine before the observation finalizer runs: the owner
-  // may open its next query from the same thread immediately after.
-  ReleaseMachine();
-  if (on_retire_) on_retire_(solutions_seen_);
-}
+Solutions::~Solutions() { Retire(); }
 
-void Solutions::ReleaseMachine() {
-  if (machine_released_) return;
-  machine_released_ = true;
-  if (query_active_flag_ != nullptr) *query_active_flag_ = false;
+void Solutions::Retire() {
+  if (retired_) return;
+  retired_ = true;
+  on_retire_(solutions_seen_);
 }
 
 base::Result<bool> Solutions::Next() {
@@ -1402,17 +1385,18 @@ base::Result<bool> Solutions::Next() {
       ++solutions_seen_;
       return true;
     }
-    ReleaseMachine();
+    Retire();
     return false;
   }
   base::Result<bool> more = machine_->NextSolution();
   if (more.ok() && *more) {
     ++solutions_seen_;
   } else {
-    // Exhausted or failed: the enumeration is over, so the machine is
-    // free for the owner's next Query even while this object lives on
-    // (holding a finished Solutions for its bindings is legitimate).
-    ReleaseMachine();
+    // Exhausted or failed: the enumeration is over, so the query retires
+    // and the machine is free for the owner's next Query even while this
+    // object lives on (holding a finished Solutions for its bindings is
+    // legitimate).
+    Retire();
   }
   return more;
 }

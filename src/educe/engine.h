@@ -14,6 +14,7 @@
 
 #include "base/result.h"
 #include "base/status.h"
+#include "base/stopwatch.h"
 #include "dict/dictionary.h"
 #include "edb/clause_store.h"
 #include "edb/code_codec.h"
@@ -158,8 +159,7 @@ class Session;
 /// is also fine (the server's disconnect path) and frees the machine.
 class Solutions {
  public:
-  /// Retiring the query finalizes its observation: latency lands in the
-  /// engine's histogram and, when profiling, the QueryProfile is filed.
+  /// Retires the query if it has not retired yet (see Retire()).
   ~Solutions();
 
   /// Advances to the next solution; false when exhausted.
@@ -182,7 +182,6 @@ class Solutions {
 
  private:
   friend class Engine;
-  friend class Session;
   Solutions(wam::Machine* machine, const dict::Dictionary* dictionary,
             reader::ReadTerm read)
       : machine_(machine), dictionary_(dictionary), read_(std::move(read)) {}
@@ -205,17 +204,17 @@ class Solutions {
   /// nullptr before the first or after the last row.
   term::AstPtr MaterializedCell(size_t position) const;
 
-  /// Clears the owner's query_active flag exactly once — at the first
-  /// terminal Next (exhausted or error) or at destruction, whichever
-  /// comes first. Guarded by machine_released_, so a stale Solutions
-  /// destroyed after the owner opened its next query cannot clobber the
-  /// new query's flag.
-  void ReleaseMachine();
+  /// Runs on_retire_ exactly once — at the first terminal Next
+  /// (exhausted or error) or at destruction, whichever comes first —
+  /// while the machine still holds this query's counters and profile.
+  /// So a stale Solutions destroyed after the owner opened its next query
+  /// neither clears the new query's flag nor counts its work.
+  void Retire();
 
   wam::Machine* machine_;  // null in materialized (bottom-up) mode
   const dict::Dictionary* dictionary_;
   reader::ReadTerm read_;
-  /// Set by Engine/Session::Query right after construction; Next()
+  /// Set by Engine::OpenQuery right after construction; Next()
   /// re-installs it as the thread's current trace id for each pump.
   uint64_t trace_id_ = 0;
   /// Materialized mode only: precomputed solutions, row-major with
@@ -226,12 +225,10 @@ class Solutions {
   uint64_t row_count_ = 0;
   uint64_t row_cursor_ = 0;
   uint64_t solutions_seen_ = 0;
-  /// The owner's one-Solutions-per-machine flag (Engine::query_active_
-  /// or Session::query_active_), cleared via ReleaseMachine.
-  bool* query_active_flag_ = nullptr;
-  bool machine_released_ = false;
-  /// Observation finalizer installed by Engine/Session::Query; runs once
-  /// at destruction with the solution count.
+  bool retired_ = false;
+  /// Installed by Engine::OpenQuery; called with the solution count. It
+  /// clears the owner's one-Solutions-per-machine flag, then finalizes
+  /// the query's observation.
   std::function<void(uint64_t)> on_retire_;
 };
 
@@ -248,7 +245,8 @@ class Solutions {
 /// engine's main-memory program is frozen while sessions are open
 /// (Consult/Query/Close on the Engine are refused); each session's
 /// transient assertions ($query scaffolding, the source-rule cycle) land
-/// in its private overlay and never touch the shared base.
+/// in its private overlay and never touch the shared base. Its queries
+/// report to the engine as each one retires, like Engine::Query's.
 class Session {
  public:
   ~Session();
@@ -289,11 +287,6 @@ class Session {
   /// a plain bool suffices (cross-thread handoff of a session must be
   /// externally synchronized, as the server's pool is).
   bool query_active_ = false;
-  /// Per-worker query-latency histogram (DESIGN.md §11): recorded without
-  /// any engine lock while the session runs, merged into the engine-wide
-  /// histogram when the session retires. Merging is associative, so any
-  /// retirement order yields the same totals.
-  obs::Histogram latency_;
 };
 
 /// Per-goal result of Engine::SolveParallel.
@@ -426,8 +419,8 @@ class Engine {
   /// first open freezes the main-memory program (pre-links every
   /// procedure); while any session is live, Engine::Query / Consult /
   /// CollectDictionary / Close are refused with FailedPrecondition.
-  /// Destroy the Session to retire it (its resolver counters merge into
-  /// Stats().resolver).
+  /// Each session query adds its machine and resolver counters to
+  /// Stats() when it retires, so open sessions report live.
   base::Result<std::unique_ptr<Session>> OpenSession();
 
   /// Number of currently open worker sessions.
@@ -508,8 +501,8 @@ class Engine {
   obs::Tracer* tracer() { return &tracer_; }
 
   /// Snapshot of the engine-wide query-latency histogram (nanoseconds).
-  /// Always recorded, profiling on or off; session queries land here when
-  /// their session retires.
+  /// Always recorded, profiling on or off; every query, the engine's or a
+  /// session's, lands here when it retires.
   obs::Histogram QueryLatencyHistogram() const;
 
   /// The most recent per-query profiles (oldest first, bounded ring).
@@ -559,7 +552,6 @@ class Engine {
   void SyncOptions();
 
  private:
-  friend class Solutions;
   friend class Session;
 
   /// Refuses (FailedPrecondition) while worker sessions are open; the
@@ -605,16 +597,29 @@ class Engine {
   /// term-oriented evaluation, per paper §4.
   void RegisterEdbBuiltins();
 
-  /// Arms `solutions` with an observation finalizer: on retirement the
-  /// query's latency is recorded (into `session_latency` when given —
-  /// the lock-free per-worker path — else directly into the engine
-  /// histogram) and, when profiling or the slow-query log demand it, a
-  /// QueryProfile is assembled by diffing subsystem counters across the
-  /// query's lifetime. `machine`/`resolver` are the per-owner instances
-  /// the query runs on.
+  /// What one query runs on: the engine's own machine, resolver and
+  /// query_active_ flag, or one session's.
+  struct QueryOwner {
+    wam::Machine* machine;
+    edb::EdbResolver* resolver;
+    bool* query_active;
+  };
+
+  /// The one body behind Engine::Query and Session::Query: opens `goal`
+  /// bottom-up or on the owner's machine and arms its observation.
+  base::Result<std::unique_ptr<Solutions>> OpenQuery(const QueryOwner& owner,
+                                                     std::string_view goal,
+                                                     uint64_t trace_id);
+
+  /// Arms `solutions` with its retirement finalizer: it frees the owner,
+  /// records the latency since `watch` started, adds a session's machine
+  /// and resolver deltas to the engine's totals (the engine's own machine
+  /// and resolver already are them), and, when profiling or the slow-query
+  /// log demand it, files a QueryProfile built from the same deltas plus
+  /// engine-wide loader, cache and I/O diffs.
   void AttachObservation(Solutions* solutions, std::string_view goal,
-                         wam::Machine* machine, edb::EdbResolver* resolver,
-                         obs::Histogram* session_latency);
+                         const QueryOwner& owner,
+                         const base::Stopwatch& watch);
 
   /// Files a finished profile under obs_mu_ and appends to the slow-query
   /// log if the query crossed options_.slow_query_ns. `digrams` (the
@@ -623,9 +628,6 @@ class Engine {
   /// would swamp the recent-profiles ring.
   void FileQueryProfile(obs::QueryProfile profile,
                         const obs::EmulatorProfile::DigramArray* digrams);
-
-  /// Folds a retiring session's latency histogram into the engine's.
-  void MergeSessionLatency(const obs::Histogram& latency);
 
   /// The shared body of Close() and Checkpoint(): serializes the
   /// external dictionary and catalog, writes the superblock, flushes the
@@ -663,21 +665,24 @@ class Engine {
   /// SyncOptions only acts on changes (see the comment there).
   bool lock_profiling_synced_ = false;
 
-  /// Worker-session registry: count + serial issue, and the resolver
-  /// counters of retired sessions (merged into Stats().resolver).
+  /// Worker-session registry: count + serial issue.
   mutable obs::TrackedMutex sessions_mu_{EDUCE_LOCK_SITE("engine.sessions")};
   uint32_t active_sessions_ = 0;
   uint64_t session_serial_ = 0;
-  edb::ResolverStats retired_session_stats_;
 
   /// Observability state (DESIGN.md §11). The tracer is wired into every
-  /// subsystem at construction and gated by its own enabled flag;
-  /// obs_mu_ guards the aggregates below it (leaf lock, never held while
-  /// calling into other subsystems).
+  /// subsystem at construction and gated by its own enabled flag. Every
+  /// query records its latency into query_latency_ lock-free; obs_mu_
+  /// guards the aggregates below it (leaf lock, never held while calling
+  /// into other subsystems).
   obs::Tracer tracer_;
   std::ostream* metrics_log_ = nullptr;  // nullptr -> std::cerr
+  obs::AtomicHistogram query_latency_;
   mutable obs::TrackedMutex obs_mu_{EDUCE_LOCK_SITE("engine.obs")};
-  obs::Histogram query_latency_;
+  /// Counter deltas of retired session queries, added to the engine's own
+  /// machine and resolver counters by Stats().
+  wam::MachineStats session_machine_;
+  edb::ResolverStats session_resolver_;
   std::deque<obs::QueryProfile> recent_profiles_;  // bounded ring
   std::array<uint64_t, obs::kOpClassCount> op_class_totals_{};
   /// Engine-wide executed-digram totals (raw opcode bytes; mapped to

@@ -12,16 +12,15 @@ namespace educe::obs {
 /// bytes, counts). Buckets are one octave split into 4 sub-buckets, so
 /// any percentile estimate is within ~12.5% of the true sample value
 /// while the whole histogram stays a fixed 2 KiB — cheap enough to keep
-/// one per worker session and per procedure.
+/// one per procedure.
 ///
 /// Merging is plain bucket-wise addition, which makes it exactly
-/// associative and commutative: per-worker instances recorded during
-/// `SolveParallel` merge into the engine-wide histogram in any order and
-/// produce identical counts (tests/obs_test.cc asserts this).
+/// associative and commutative: instances merge in any order and produce
+/// identical counts (tests/obs_test.cc asserts this).
 ///
-/// Not internally synchronized. Engine-owned instances are guarded by
-/// the engine's obs mutex; session-owned instances are single-threaded
-/// by the session contract (DESIGN.md §10).
+/// Not internally synchronized: owners guard their instances (the
+/// loader's per-procedure histograms) or hand out snapshots. Many
+/// threads recording into one histogram use AtomicHistogram.
 class Histogram {
  public:
   /// 2 sub-bucket bits -> 4 sub-buckets per octave. 64 octaves of 4
@@ -68,7 +67,8 @@ class Histogram {
 /// counter is a relaxed atomic so many threads can record without any
 /// lock (the lock-site profiler records into these from inside lock
 /// acquisition paths, where taking another mutex would deadlock or
-/// serialize the very contention being measured). Snapshot() folds the
+/// serialize the very contention being measured; every query, on any
+/// session, records its latency into the engine's). Snapshot() folds the
 /// counters into a plain Histogram for percentiles and JSON; under
 /// concurrent recording the snapshot is a consistent-enough view (each
 /// counter is read once, tearing across counters is possible but each

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "base/stopwatch.h"
 #include "educe/datalog.h"
 #include "educe/engine.h"
 #include "rel/datalog.h"
@@ -633,6 +634,32 @@ TEST(DatalogEngineTest, PlanCacheHitsOnRepeatedCallPattern) {
   const DatalogStats stats = engine.Stats().datalog;
   EXPECT_EQ(stats.plans_compiled, 1u);
   EXPECT_GE(stats.plan_cache_hits, 2u);
+}
+
+// A bottom-up query does its work inside Query() (TryQuery evaluates the
+// whole answer up front), so its latency sample must cover Query() too,
+// not only the Next() walk over the rows.
+TEST(DatalogEngineTest, LatencyCoversTheBottomUpEvaluation) {
+  EngineOptions options;
+  options.datalog = true;
+  Engine engine(options);
+  ASSERT_TRUE(
+      GraphWorkload::StoreEdges(&engine, "edge", GraphWorkload::Chain(200))
+          .ok());
+  ASSERT_TRUE(engine.Consult(kClosureRules).ok());
+  engine.ResetStats();
+
+  const base::Stopwatch watch;
+  auto count = engine.CountSolutions("path(X, Y)");
+  const uint64_t wall_ns = watch.ElapsedNanos();
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(*count, 200u * 199u / 2);
+  EXPECT_EQ(engine.Stats().datalog.queries_bottom_up, 1u);
+  const obs::Histogram latency = engine.QueryLatencyHistogram();
+  ASSERT_EQ(latency.count(), 1u);
+  // Only the call overhead around Query() and Next() lies outside the
+  // sample; the evaluation alone is most of the wall time.
+  EXPECT_GE(2 * latency.max(), wall_ns);
 }
 
 TEST(DatalogEngineTest, MagicBoundQueryDerivesFewerTuples) {

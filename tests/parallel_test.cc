@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -326,8 +327,8 @@ TEST(ParallelTest, StatsAggregateAcrossSessions) {
   ASSERT_TRUE(result.ok()) << result.status();
   for (const SolveOutcome& outcome : *result) EXPECT_EQ(outcome.count, 1u);
 
-  // Every goal is one EDB fact call; retired sessions must fold their
-  // resolver counters into the aggregate exactly once.
+  // Every goal is one EDB fact call; each session query must add its
+  // resolver counters to the aggregate exactly once.
   EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.resolver.fact_calls, goals.size());
   // Residency gauges stay coherent with the cache's own accounting.
@@ -336,12 +337,11 @@ TEST(ParallelTest, StatsAggregateAcrossSessions) {
 }
 
 TEST(ParallelTest, PerWorkerHistogramsMergeToSameTotals) {
-  // DESIGN.md §11: each worker session records query latency into its own
-  // histogram (no engine lock on the hot path) and merges it into the
-  // engine-wide histogram at retirement. Merging is associative, so the
-  // same goal batch run with 1 worker and with 4 workers must land the
-  // same number of samples — and the same solution totals — whatever the
-  // retirement order.
+  // DESIGN.md §11: every query records its latency into the engine-wide
+  // atomic histogram as it retires (no engine lock on the hot path), so
+  // the same goal batch run with 1 worker and with 4 workers must land
+  // the same number of samples — and the same solution totals — whatever
+  // order the queries retire in.
   Engine engine;
   constexpr int kRows = 40;
   ASSERT_TRUE(engine.DeclareRelation("item", 2).ok());
@@ -406,6 +406,117 @@ TEST(ParallelTest, ProfilingUnderParallelQueriesIsClean) {
   // The export assembles under the same locks the workers used.
   const std::string json = engine.ExportMetricsJson();
   EXPECT_NE(json.find("\"recent_queries\""), std::string::npos);
+}
+
+// Session queries publish their machine and resolver counters into
+// Stats() as each query retires: a batch spread over 4 live sessions must
+// cost exactly what the same goals cost one at a time on one session,
+// both while the sessions are open and after they close (nothing is
+// counted twice).
+TEST(ParallelTest, LiveSessionsPublishCountersOnceAsQueriesRetire) {
+  Engine engine;
+  constexpr int kRows = 40;
+  ASSERT_TRUE(engine.DeclareRelation("item", 2).ok());
+  ASSERT_TRUE(engine.StoreFactsExternal(ItemFacts(kRows)).ok());
+  ASSERT_TRUE(engine.StoreRulesExternal("val(Y) :- item(_, Y).").ok());
+  std::vector<std::string> goals;
+  for (int i = 0; i < 48; ++i) {
+    goals.push_back(i % 3 == 0 ? "val(Y)"
+                               : "item(" + std::to_string(i % kRows) + ", Y)");
+  }
+
+  uint64_t want_instructions = 0, want_fact_calls = 0;
+  {
+    auto single = engine.OpenSession();
+    ASSERT_TRUE(single.ok()) << single.status();
+    for (const std::string& goal : goals) {
+      ASSERT_TRUE((*single)->CountSolutions(goal).ok()) << goal;
+    }
+    want_instructions = (*single)->machine()->stats().instructions;
+    want_fact_calls = (*single)->resolver()->stats().fact_calls;
+  }
+  ASSERT_GT(want_instructions, 0u);
+  ASSERT_GT(want_fact_calls, 0u);
+
+  engine.ResetStats();
+  constexpr int kSessions = 4;
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (int w = 0; w < kSessions; ++w) {
+    auto session = engine.OpenSession();
+    ASSERT_TRUE(session.ok()) << session.status();
+    sessions.push_back(std::move(*session));
+  }
+  std::atomic<size_t> next{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kSessions; ++w) {
+    threads.emplace_back([&, session = sessions[w].get()] {
+      for (size_t i; (i = next.fetch_add(1)) < goals.size();) {
+        if (!session->CountSolutions(goals[i]).ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  EngineStats open = engine.Stats();
+  EXPECT_EQ(open.machine.instructions, want_instructions);
+  EXPECT_EQ(open.resolver.fact_calls, want_fact_calls);
+  EXPECT_EQ(engine.QueryLatencyHistogram().count(), goals.size());
+  sessions.clear();
+  EngineStats closed = engine.Stats();
+  EXPECT_EQ(closed.machine.instructions, want_instructions);
+  EXPECT_EQ(closed.resolver.fact_calls, want_fact_calls);
+  EXPECT_EQ(engine.QueryLatencyHistogram().count(), goals.size());
+}
+
+// Stats() and the latency histogram are read from another thread while 4
+// sessions retire queries into them; under TSan this asserts the
+// publishing path is race-free.
+TEST(ParallelTest, StatsReadableWhileSessionsQuery) {
+  Engine engine;
+  constexpr int kRows = 30;
+  ASSERT_TRUE(engine.DeclareRelation("item", 2).ok());
+  ASSERT_TRUE(engine.StoreFactsExternal(ItemFacts(kRows)).ok());
+  engine.ResetStats();
+
+  constexpr int kSessions = 4;
+  constexpr int kRounds = 40;
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (int w = 0; w < kSessions; ++w) {
+    auto session = engine.OpenSession();
+    ASSERT_TRUE(session.ok()) << session.status();
+    sessions.push_back(std::move(*session));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      const uint64_t calls = engine.Stats().resolver.fact_calls;
+      const uint64_t samples = engine.QueryLatencyHistogram().count();
+      if (calls < last || samples > kSessions * kRounds) ++failures;
+      last = calls;
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kSessions; ++w) {
+    workers.emplace_back([&, session = sessions[w].get()] {
+      for (int round = 0; round < kRounds; ++round) {
+        auto count = session->CountSolutions(
+            "item(" + std::to_string(round % kRows) + ", Y)");
+        if (!count.ok() || *count != 1u) ++failures;
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(engine.QueryLatencyHistogram().count(),
+            static_cast<uint64_t>(kSessions * kRounds));
+  EXPECT_EQ(engine.Stats().resolver.fact_calls,
+            static_cast<uint64_t>(kSessions * kRounds));
 }
 
 }  // namespace

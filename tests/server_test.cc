@@ -643,6 +643,60 @@ TEST(ServerTest, PrometheusEndpointServesTextExposition) {
   server.Stop();
 }
 
+// Pool sessions live until Stop(), so a live server's metrics only count
+// its queries if each query reports as it retires. Both endpoints must
+// show every served query's latency sample while the server still runs.
+TEST(ServerTest, MetricsCountEveryQueryWhileSessionsStayOpen) {
+  Engine engine;
+  ASSERT_TRUE(engine.DeclareRelation("item", 2).ok());
+  ASSERT_TRUE(engine.StoreFactsExternal(ItemFacts(10)).ok());
+  ServerOptions options;
+  options.pool_sessions = 2;
+  options.handler_threads = 2;
+  QueryServer server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr uint64_t kQueries = 6;
+  Client client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  for (uint64_t id = 1; id <= kQueries; ++id) {
+    ASSERT_TRUE(client.SendLine(R"json({"op":"query","goal":"item(X, Y)","id":)json" +
+                                std::to_string(id) + "}"));
+    std::string line;
+    do {
+      ASSERT_TRUE(client.ReadLine(&line));
+    } while (MustParse(line).GetString("type") == "binding");
+    ASSERT_EQ(MustParse(line).GetString("type"), "done") << line;
+  }
+  client.Close();
+
+  auto http_body = [&](const char* path) {
+    Client http;
+    EXPECT_TRUE(http.Connect(server.port()));
+    EXPECT_TRUE(http.SendRaw(std::string("GET ") + path +
+                             " HTTP/1.0\r\n\r\n"));
+    const std::string response = http.ReadAll();
+    const size_t body_at = response.find("\r\n\r\n");
+    return body_at == std::string::npos ? std::string()
+                                        : response.substr(body_at + 4);
+  };
+  const std::string prom = http_body("/metrics.prom");
+  EXPECT_NE(prom.find("\neduce_query_latency_seconds_count " +
+                      std::to_string(kQueries) + "\n"),
+            std::string::npos)
+      << prom;
+
+  const JsonValue metrics = MustParse(http_body("/metrics"));
+  const JsonValue* latency = metrics.Find("query_latency_ns");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->GetUint("count"), kQueries);
+  // The sessions' WAM work reaches the engine totals live too.
+  const JsonValue* totals = metrics.Find("totals");
+  ASSERT_NE(totals, nullptr);
+  EXPECT_GT(totals->GetUint("instructions"), 0u);
+  server.Stop();
+}
+
 TEST(ServerTest, ChromeTraceEndpointDrainsRequestCorrelatedSpans) {
   Engine engine;
   ASSERT_TRUE(engine.Consult("p(1).").ok());
