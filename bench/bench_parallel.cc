@@ -18,18 +18,24 @@
 //     aggregate throughput on the Wisconsin selections. On smaller hosts
 //     the speedup is reported but not enforced — there is nothing to
 //     overlap onto.
+//
+// `bench_parallel --lock-profile` also turns the lock profiler on around
+// the Wisconsin section and prints LockProfiler::ToJson after it. The
+// profile has content only in an EDUCE_LOCK_PROFILING=ON build.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "base/stopwatch.h"
 #include "bench/bench_util.h"
 #include "educe/engine.h"
+#include "obs/lock_profiler.h"
 #include "workloads/mvv.h"
 
 namespace educe {
@@ -152,7 +158,15 @@ SectionResult RunSection(Engine* engine, const std::vector<std::string>& goals,
   return section;
 }
 
-int Main() {
+int Main(int argc, char** argv) {
+  bool lock_profile = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) != "--lock-profile") {
+      std::fprintf(stderr, "usage: bench_parallel [--lock-profile]\n");
+      return 2;
+    }
+    lock_profile = true;
+  }
   const unsigned cores = std::thread::hardware_concurrency();
   std::printf("bench_parallel: %u hardware core(s)\n", cores);
 
@@ -188,8 +202,24 @@ int Main() {
   Table table("Parallel query throughput (worker sessions, shared EDB)");
   table.Header({"workload", "workers", "wall ms", "goals/s", "speedup",
                 "solutions"});
+  if (lock_profile) {
+    if (!obs::LockProfiler::compiled_in()) {
+      std::printf(
+          "NOTE: --lock-profile needs an EDUCE_LOCK_PROFILING=ON build; "
+          "the profile below is empty\n");
+    }
+    obs::LockProfiler::Reset();
+    obs::LockProfiler::SetEnabled(true);
+  }
   SectionResult wisc =
       RunSection(&wisc_engine, wisc_goals, "wisconsin", &table);
+  if (lock_profile) {
+    obs::LockProfiler::SetEnabled(false);
+    std::printf("lock profile (wisconsin section): %s\n",
+                obs::LockProfiler::ToJson().c_str());
+    // Keep a later FATAL on stderr from landing inside the JSON line.
+    std::fflush(stdout);
+  }
   direct_seconds = std::min(direct_seconds, time_direct());
   if (wisc.runs.front().second.total_solutions != direct_solutions) {
     std::fprintf(stderr, "FATAL: session solutions != direct solutions\n");
@@ -265,4 +295,4 @@ int Main() {
 }  // namespace
 }  // namespace educe
 
-int main() { return educe::Main(); }
+int main(int argc, char** argv) { return educe::Main(argc, argv); }

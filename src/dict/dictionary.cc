@@ -32,7 +32,6 @@ std::optional<uint32_t> Dictionary::FindInSegment(const Segment& seg,
   uint32_t idx = static_cast<uint32_t>(hash) & slot_mask_;
   for (uint32_t step = 0; step < options_.segment_capacity; ++step) {
     const Slot& slot = seg.slots[idx];
-    ++stats_.probes;
     if (slot.state == SlotState::kEmpty) return std::nullopt;
     if (slot.state == SlotState::kLive && slot.hash == hash &&
         slot.arity == arity && slot.name == name) {
@@ -57,7 +56,6 @@ std::optional<SymbolId> Dictionary::FindAnywhere(std::string_view name,
 std::optional<SymbolId> Dictionary::Lookup(std::string_view name,
                                            uint32_t arity) const {
   std::shared_lock<obs::TrackedSharedMutex> lock(mu_);
-  ++stats_.lookups;
   return FindAnywhere(name, arity, base::HashFunctor(name, arity));
 }
 
@@ -109,13 +107,13 @@ base::Result<SymbolId> Dictionary::Intern(std::string_view name,
   uint32_t idx = static_cast<uint32_t>(hash) & slot_mask_;
   for (uint32_t step = 0; step < options_.segment_capacity; ++step) {
     Slot& slot = seg.slots[idx];
-    ++stats_.probes;
     if (slot.state != SlotState::kLive) {
       if (slot.state == SlotState::kTombstone) {
         ++stats_.slot_reuses;
         --seg.tombstones;
       }
       slot.state = SlotState::kLive;
+      slot.external = false;
       slot.name.assign(name);
       slot.arity = arity;
       slot.hash = hash;
@@ -173,6 +171,7 @@ base::Status Dictionary::Remove(SymbolId id) {
   // Tombstone, do not relocate anything (paper point 4); the slot becomes
   // reusable by a later insertion (paper point 3).
   slot.state = SlotState::kTombstone;
+  slot.external = false;
   slot.name.clear();
   slot.name.shrink_to_fit();
   --seg.live;
@@ -180,6 +179,37 @@ base::Status Dictionary::Remove(SymbolId id) {
   --live_count_;
   ++stats_.removes;
   return base::Status::OK();
+}
+
+std::optional<Dictionary::ExternalEntry> Dictionary::FindExternal(
+    uint64_t hash) const {
+  std::shared_lock<obs::TrackedSharedMutex> lock(mu_);
+  // The probe sequence of FindInSegment, comparing hashes only: a marked
+  // slot with this hash is the external dictionary's one entry for it.
+  for (uint32_t s = 0; s < segments_.size(); ++s) {
+    const Segment& seg = segments_[s];
+    uint32_t idx = static_cast<uint32_t>(hash) & slot_mask_;
+    for (uint32_t step = 0; step < options_.segment_capacity; ++step) {
+      const Slot& slot = seg.slots[idx];
+      if (slot.state == SlotState::kEmpty) break;
+      if (slot.state == SlotState::kLive && slot.external &&
+          slot.hash == hash) {
+        return ExternalEntry{PackId(s, idx, slot_bits_), slot.arity};
+      }
+      idx = (idx + 1) & slot_mask_;
+    }
+  }
+  return std::nullopt;
+}
+
+void Dictionary::MarkExternal(SymbolId id, uint64_t external_hash) {
+  std::unique_lock<obs::TrackedSharedMutex> lock(mu_);
+  const uint32_t seg = id >> slot_bits_;
+  if (seg >= segments_.size()) return;
+  Slot& slot = segments_[seg].slots[id & slot_mask_];
+  if (slot.state == SlotState::kLive && slot.hash == external_hash) {
+    slot.external = true;
+  }
 }
 
 size_t Dictionary::size() const {

@@ -27,14 +27,12 @@ using SymbolId = uint32_t;
 inline constexpr SymbolId kInvalidSymbol = 0xFFFFFFFFu;
 
 /// Statistics maintained by the dictionary; read by tests and by the
-/// dictionary ablation benchmark (DESIGN.md Ablation D). Counters are
-/// relaxed atomics: lookups from concurrent worker sessions bump them
-/// under the shared (reader) side of the latch.
+/// dictionary ablation benchmark (DESIGN.md Ablation D). Every counter
+/// moves only under the exclusive side of the latch, so lookups from
+/// concurrent worker sessions touch no shared counter.
 struct DictionaryStats {
   base::RelaxedCounter inserts;
-  base::RelaxedCounter lookups;
   base::RelaxedCounter removes;
-  base::RelaxedCounter probes;       // total probe steps over all operations
   base::RelaxedCounter slot_reuses;  // inserts that landed on a tombstone
   base::RelaxedCounter segments_allocated;
 };
@@ -100,6 +98,28 @@ class Dictionary {
   /// symbols are unaffected (paper point 4: no relocation).
   base::Status Remove(SymbolId id);
 
+  /// A live symbol and its arity, as found by FindExternal.
+  struct ExternalEntry {
+    SymbolId id;
+    uint32_t arity;
+  };
+
+  /// The loader's address resolution on its fast path (paper §3.1, §4):
+  /// the live symbol marked external whose hash is `hash`, probing only
+  /// the slots that hash addresses; nullopt if none is marked. A miss
+  /// means the caller must resolve `hash` through the external
+  /// dictionary, intern the result and MarkExternal it.
+  std::optional<ExternalEntry> FindExternal(uint64_t hash) const;
+
+  /// Marks live symbol `id` as checked against the external dictionary,
+  /// which maps `external_hash` to it. The invariant the mark carries: a
+  /// marked live slot's hash is that symbol's external-dictionary hash.
+  /// So nothing is marked when `external_hash` differs from the slot's
+  /// own hash (the external dictionary remaps the one hash BANG reserves
+  /// as its wildcard); that symbol always takes the miss path. Remove and
+  /// slot reuse clear the mark.
+  void MarkExternal(SymbolId id, uint64_t external_hash);
+
   /// Invokes `fn(id)` for every live symbol (dictionary GC sweeps).
   /// Holds the read latch for the whole sweep; `fn` must not call back
   /// into a mutating dictionary operation.
@@ -130,6 +150,7 @@ class Dictionary {
 
   struct Slot {
     SlotState state = SlotState::kEmpty;
+    bool external = false;  // see MarkExternal
     uint32_t arity = 0;
     uint64_t hash = 0;
     std::string name;
@@ -146,7 +167,7 @@ class Dictionary {
   }
 
   // Probes segment `seg` for (name, arity, hash). Returns the slot index of
-  // the live entry, or nullopt. Records probe steps in stats_.
+  // the live entry, or nullopt.
   std::optional<uint32_t> FindInSegment(const Segment& seg,
                                         std::string_view name, uint32_t arity,
                                         uint64_t hash) const;

@@ -831,7 +831,7 @@ base::Result<ClauseStore::RuleFetch> ClauseStore::FetchRulesDetailedLocked(
   return out;
 }
 
-base::Result<std::vector<ClauseStore::FactMatch>> ClauseStore::CollectFacts(
+base::Result<std::vector<ClauseStore::FactRow>> ClauseStore::CollectFacts(
     ProcedureInfo* proc, const CallPattern& pattern) {
   if (proc->mode != ProcedureMode::kFacts) {
     return base::Status::InvalidArgument(proc->name + " is not a relation");
@@ -866,12 +866,10 @@ base::Result<std::vector<ClauseStore::FactMatch>> ClauseStore::CollectFacts(
     };
   }
   auto cursor = proc->relation->OpenScan(keys, std::move(filter));
-  std::vector<FactMatch> out;
+  std::vector<FactRow> out;
   storage::BangFile::Record record;
   while (cursor.Next(&record)) {
-    EDUCE_ASSIGN_OR_RETURN(term::AstPtr fact,
-                           codec_->DecodeTerm(record.payload));
-    out.push_back(FactMatch{std::move(fact), record.rid});
+    out.push_back(FactRow{record.payload, record.rid});
   }
   stats_.fact_rows_fetched += out.size();
   stats_.fact_rows_filtered += filtered;

@@ -114,7 +114,7 @@ struct ProcedureInfo {
 struct ClauseStoreStats {
   base::RelaxedCounter facts_stored;
   base::RelaxedCounter rules_stored;
-  base::RelaxedCounter fact_rows_fetched;   // rows decoded and shipped
+  base::RelaxedCounter fact_rows_fetched;   // rows shipped to the caller
   base::RelaxedCounter fact_rows_filtered;  // rejected in the page
   base::RelaxedCounter bulk_fact_scans;    // ScanAllFacts calls (datalog)
   base::RelaxedCounter bulk_fact_rows;     // rows streamed by ScanAllFacts
@@ -225,9 +225,11 @@ class ClauseStore {
   /// CollectFacts match, with no insert into `proc` in between).
   base::Status DeleteFact(ProcedureInfo* proc, storage::RecordId rid);
 
-  /// One matching fact plus its storage id (for deletion).
-  struct FactMatch {
-    term::AstPtr fact;
+  /// One matching fact row in its stored (relative) form, plus its
+  /// storage id (for deletion). CodeCodec::DecodeOntoHeap builds its
+  /// term on a machine's heap.
+  struct FactRow {
+    std::string payload;
     storage::RecordId rid;
   };
   /// Drains a whole fact scan under a single read-latch hold and returns
@@ -236,10 +238,10 @@ class ClauseStore {
   /// records) out for the duration of the scan. Bound key attributes
   /// select BANG buckets; every other bound atomic argument is
   /// pre-unified against the stored row in the page (FactRowMayMatch),
-  /// so only rows that may unify are decoded. Necessary, not
-  /// sufficient: callers still unify each match.
-  base::Result<std::vector<FactMatch>> CollectFacts(ProcedureInfo* proc,
-                                                    const CallPattern& pattern);
+  /// so only rows that may unify are copied out. Necessary, not
+  /// sufficient: callers still decode and unify each row.
+  base::Result<std::vector<FactRow>> CollectFacts(ProcedureInfo* proc,
+                                                  const CallPattern& pattern);
 
   /// Bulk fact feed for the bottom-up evaluator (DESIGN.md §15): one
   /// wildcard scan of the whole relation under a single read-latch hold,

@@ -134,10 +134,16 @@ base::Result<uint64_t> CodeCodec::RelativeSymbol(dict::SymbolId id) {
   return external_->Ensure(dictionary_->NameOf(id), dictionary_->ArityOf(id));
 }
 
-base::Result<dict::SymbolId> CodeCodec::AbsoluteSymbol(uint64_t hash) {
-  EDUCE_ASSIGN_OR_RETURN(auto entry, external_->Resolve(hash));
-  ++symbols_resolved_;
-  return dictionary_->Intern(entry.first, entry.second);
+base::Result<dict::Dictionary::ExternalEntry> CodeCodec::AbsoluteSymbol(
+    uint64_t hash) {
+  if (auto entry = dictionary_->FindExternal(hash)) return *entry;
+  // First sight of this address since the symbol was interned (or since
+  // dictionary GC swept it): the name round trip, once.
+  EDUCE_ASSIGN_OR_RETURN(auto named, external_->Resolve(hash));
+  EDUCE_ASSIGN_OR_RETURN(dict::SymbolId id,
+                         dictionary_->Intern(named.first, named.second));
+  dictionary_->MarkExternal(id, hash);
+  return dict::Dictionary::ExternalEntry{id, named.second};
 }
 
 base::Result<std::string> CodeCodec::EncodeClause(const wam::ClauseCode& code) {
@@ -200,8 +206,8 @@ base::Result<wam::ClauseCode> CodeCodec::DecodeClause(std::string_view bytes) {
   EDUCE_ASSIGN_OR_RETURN(uint64_t key_value, reader.Get<uint64_t>());
   if (code.key.type == wam::IndexKey::Type::kAtom ||
       code.key.type == wam::IndexKey::Type::kStruct) {
-    EDUCE_ASSIGN_OR_RETURN(dict::SymbolId id, AbsoluteSymbol(key_value));
-    code.key.value = id;
+    EDUCE_ASSIGN_OR_RETURN(auto entry, AbsoluteSymbol(key_value));
+    code.key.value = entry.id;
   } else {
     code.key.value = key_value;
   }
@@ -231,19 +237,17 @@ base::Result<wam::ClauseCode> CodeCodec::DecodeClause(std::string_view bytes) {
       case OperandKind::kNone:
         break;
       case OperandKind::kSymbol: {
-        EDUCE_ASSIGN_OR_RETURN(dict::SymbolId id, AbsoluteSymbol(operand));
-        ins.c = id;
+        EDUCE_ASSIGN_OR_RETURN(auto entry, AbsoluteSymbol(operand));
+        ins.c = entry.id;
         break;
       }
       case OperandKind::kBuiltinSymbol: {
-        EDUCE_ASSIGN_OR_RETURN(auto entry, external_->Resolve(operand));
-        ++symbols_resolved_;
-        EDUCE_ASSIGN_OR_RETURN(dict::SymbolId functor,
-                               dictionary_->Intern(entry.first, entry.second));
-        auto builtin = builtins_->Find(functor);
+        EDUCE_ASSIGN_OR_RETURN(auto entry, AbsoluteSymbol(operand));
+        auto builtin = builtins_->Find(entry.id);
         if (!builtin) {
-          return base::Status::Corruption("stored code names unknown builtin " +
-                                          entry.first);
+          return base::Status::Corruption(
+              "stored code names unknown builtin " +
+              std::string(dictionary_->NameOf(entry.id)));
         }
         ins.c = *builtin;
         break;
@@ -329,8 +333,8 @@ base::Result<term::AstPtr> CodeCodec::DecodeTermFrom(std::string_view bytes,
   switch (tag) {
     case TermTag::kAtom: {
       EDUCE_ASSIGN_OR_RETURN(uint64_t hash, get_u64());
-      EDUCE_ASSIGN_OR_RETURN(dict::SymbolId id, AbsoluteSymbol(hash));
-      return term::MakeAtom(id);
+      EDUCE_ASSIGN_OR_RETURN(auto entry, AbsoluteSymbol(hash));
+      return term::MakeAtom(entry.id);
     }
     case TermTag::kInt: {
       EDUCE_ASSIGN_OR_RETURN(uint64_t v, get_u64());
@@ -344,20 +348,74 @@ base::Result<term::AstPtr> CodeCodec::DecodeTermFrom(std::string_view bytes,
     }
     case TermTag::kStruct: {
       EDUCE_ASSIGN_OR_RETURN(uint64_t hash, get_u64());
-      EDUCE_ASSIGN_OR_RETURN(dict::SymbolId id, AbsoluteSymbol(hash));
-      const uint32_t arity = dictionary_->ArityOf(id);
+      EDUCE_ASSIGN_OR_RETURN(auto entry, AbsoluteSymbol(hash));
       std::vector<term::AstPtr> args;
-      args.reserve(arity);
-      for (uint32_t i = 0; i < arity; ++i) {
+      args.reserve(entry.arity);
+      for (uint32_t i = 0; i < entry.arity; ++i) {
         EDUCE_ASSIGN_OR_RETURN(term::AstPtr arg, DecodeTermFrom(bytes, pos));
         args.push_back(std::move(arg));
       }
-      return term::MakeStruct(id, std::move(args));
+      return term::MakeStruct(entry.id, std::move(args));
     }
     case TermTag::kVar:
       return base::Status::Corruption("variable in stored ground term");
   }
   return base::Status::Corruption("bad stored term tag");
+}
+
+base::Result<term::Cell> CodeCodec::DecodeCellFrom(std::string_view bytes,
+                                                   size_t* pos,
+                                                   wam::Machine* machine) {
+  // Every stored cell is one tag byte plus a u64; a compound's arguments
+  // follow its functor cell.
+  if (*pos + 9 > bytes.size()) {
+    return base::Status::Corruption("short stored term");
+  }
+  const TermTag tag = static_cast<TermTag>(bytes[*pos]);
+  uint64_t value;
+  std::memcpy(&value, bytes.data() + *pos + 1, 8);
+  *pos += 9;
+  switch (tag) {
+    case TermTag::kAtom: {
+      EDUCE_ASSIGN_OR_RETURN(auto entry, AbsoluteSymbol(value));
+      return term::Cell::Con(entry.id);
+    }
+    case TermTag::kInt:
+      return term::Cell::Int(static_cast<int64_t>(value));
+    case TermTag::kFloat:
+      return term::Cell::FltFromBits(value);
+    case TermTag::kStruct: {
+      EDUCE_ASSIGN_OR_RETURN(auto entry, AbsoluteSymbol(value));
+      if (entry.arity == 0) return term::Cell::Con(entry.id);
+      // Reserve the term's cells first and fill them as the arguments
+      // decode: nested compounds land above it, as ImportAst builds them.
+      const bool list = entry.id == machine->dot_symbol() && entry.arity == 2;
+      uint64_t arg = machine->AllocateHeap(list ? 2 : entry.arity + 1);
+      const term::Cell cell =
+          list ? term::Cell::Lis(arg) : term::Cell::Str(arg);
+      if (!list) machine->SetHeapAt(arg++, term::Cell::Fun(entry.id));
+      for (uint32_t i = 0; i < entry.arity; ++i, ++arg) {
+        EDUCE_ASSIGN_OR_RETURN(term::Cell c,
+                               DecodeCellFrom(bytes, pos, machine));
+        machine->SetHeapAt(arg, c);
+      }
+      return cell;
+    }
+    case TermTag::kVar:
+      return base::Status::Corruption("variable in stored ground term");
+  }
+  return base::Status::Corruption("bad stored term tag");
+}
+
+base::Result<term::Cell> CodeCodec::DecodeOntoHeap(std::string_view bytes,
+                                                   wam::Machine* machine) {
+  size_t pos = 0;
+  EDUCE_ASSIGN_OR_RETURN(term::Cell cell,
+                         DecodeCellFrom(bytes, &pos, machine));
+  if (pos != bytes.size()) {
+    return base::Status::Corruption("trailing bytes in stored term");
+  }
+  return cell;
 }
 
 size_t CodeCodec::PeekArgs(std::string_view bytes, size_t count,

@@ -4,12 +4,13 @@
 #include <string>
 #include <string_view>
 
-#include "base/counter.h"
 #include "base/result.h"
 #include "dict/dictionary.h"
 #include "edb/external_dictionary.h"
 #include "term/ast.h"
+#include "term/cell.h"
 #include "wam/code.h"
+#include "wam/machine.h"
 #include "wam/program.h"
 
 namespace educe::edb {
@@ -28,9 +29,10 @@ struct StoredArg {
 /// stored form is *relative* — every symbol operand (atoms, functors,
 /// called predicates, builtins) is replaced by its external-dictionary
 /// hash, the "associative address". Decoding is the dynamic loader's
-/// address-resolution step: each hash is resolved through the external
-/// dictionary and re-interned into the (session-local) internal
-/// dictionary, yielding code the emulator can run after linking.
+/// address-resolution step. The address is the internal dictionary's own
+/// hash, so each one is first probed for in the internal dictionary
+/// (Dictionary::FindExternal); only a symbol not yet checked against
+/// the external dictionary is resolved through it, interned and marked.
 ///
 /// Thread safety: the codec keeps no per-call state — it only forwards
 /// to the internally latched dictionaries — so one shared instance
@@ -54,8 +56,15 @@ class CodeCodec {
   base::Result<std::string> EncodeGroundTerm(const term::Ast& t);
 
   /// Relative bytes -> AST (interning symbols into the internal
-  /// dictionary).
+  /// dictionary). The bottom-up evaluator's bulk feed; the WAM's fact
+  /// paths use DecodeOntoHeap.
   base::Result<term::AstPtr> DecodeTerm(std::string_view bytes);
+
+  /// Relative bytes -> the same term built on `machine`'s heap, with no
+  /// intermediate AST. As in Machine::ImportAst, a '.'/2 compound becomes
+  /// a list cell, so it unifies with [H|T].
+  base::Result<term::Cell> DecodeOntoHeap(std::string_view bytes,
+                                          wam::Machine* machine);
 
   /// Reads up to `count` top-level arguments of the stored term `bytes`
   /// into `out`, in place: the fact-row side of pre-unification, which
@@ -67,23 +76,21 @@ class CodeCodec {
   static size_t PeekArgs(std::string_view bytes, size_t count,
                          StoredArg* out);
 
-  /// Statistics for the compiler-split bench: time spent resolving
-  /// associative addresses is measured around DecodeClause by callers;
-  /// these count the volume.
-  uint64_t symbols_resolved() const { return symbols_resolved_.load(); }
-
  private:
   base::Result<uint64_t> RelativeSymbol(dict::SymbolId id);
-  base::Result<dict::SymbolId> AbsoluteSymbol(uint64_t hash);
+  /// Associative address -> live internal symbol and its arity.
+  base::Result<dict::Dictionary::ExternalEntry> AbsoluteSymbol(uint64_t hash);
 
   base::Status EncodeTermInto(const term::Ast& t, std::string* out);
   base::Result<term::AstPtr> DecodeTermFrom(std::string_view bytes,
                                             size_t* pos);
+  base::Result<term::Cell> DecodeCellFrom(std::string_view bytes,
+                                          size_t* pos,
+                                          wam::Machine* machine);
 
   dict::Dictionary* dictionary_;
   ExternalDictionary* external_;
   const wam::BuiltinTable* builtins_;
-  base::RelaxedCounter symbols_resolved_;
 };
 
 }  // namespace educe::edb

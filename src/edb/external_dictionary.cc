@@ -53,7 +53,7 @@ base::Result<ExternalDictionary> ExternalDictionary::Open(
 }
 
 std::string ExternalDictionary::SerializeState() const {
-  std::lock_guard<std::mutex> lock(*mu_);
+  std::lock_guard<obs::TrackedMutex> lock(*mu_);
   std::string out;
   out.append(reinterpret_cast<const char*>(&epoch_), sizeof(epoch_));
   out.append(reinterpret_cast<const char*>(&entries_), sizeof(entries_));
@@ -71,7 +71,7 @@ uint64_t ExternalDictionary::HashOf(std::string_view name, uint32_t arity) {
 
 base::Result<uint64_t> ExternalDictionary::Ensure(std::string_view name,
                                                   uint32_t arity) {
-  std::lock_guard<std::mutex> lock(*mu_);
+  std::lock_guard<obs::TrackedMutex> lock(*mu_);
   const uint64_t hash = HashOf(name, arity);
   auto it = cache_.find(hash);
   if (it != cache_.end()) {
@@ -117,7 +117,7 @@ base::Result<uint64_t> ExternalDictionary::Ensure(std::string_view name,
 
 base::Result<std::pair<std::string, uint32_t>> ExternalDictionary::Resolve(
     uint64_t hash) {
-  std::lock_guard<std::mutex> lock(*mu_);
+  std::lock_guard<obs::TrackedMutex> lock(*mu_);
   auto it = cache_.find(hash);
   if (it != cache_.end()) return it->second;
 

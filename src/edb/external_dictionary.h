@@ -11,6 +11,7 @@
 
 #include "base/result.h"
 #include "base/status.h"
+#include "obs/lock_profiler.h"
 #include "storage/bang_file.h"
 #include "storage/buffer_pool.h"
 
@@ -36,8 +37,9 @@ inline constexpr uint8_t kWalDictEntry = 5;
 /// which is exactly why compiled code in the EDB stays valid (paper §3.1).
 ///
 /// Thread safety: internally latched (one leaf mutex around the
-/// write-through cache and the stored table), so concurrent worker
-/// sessions may Ensure/Resolve against one shared instance.
+/// write-through cache and the stored table, lock site
+/// `external_dictionary.mu`), so concurrent worker sessions may
+/// Ensure/Resolve against one shared instance.
 class ExternalDictionary {
  public:
   static base::Result<ExternalDictionary> Create(storage::BufferPool* pool);
@@ -78,7 +80,7 @@ class ExternalDictionary {
   void set_wal(storage::Wal* wal) { wal_ = wal; }
 
   uint64_t entry_count() const {
-    std::lock_guard<std::mutex> lock(*mu_);
+    std::lock_guard<obs::TrackedMutex> lock(*mu_);
     return entries_;
   }
 
@@ -94,8 +96,11 @@ class ExternalDictionary {
   uint64_t epoch_ = 0;
   // Behind unique_ptr so the dictionary stays movable (Create/Open
   // return by value). Leaf lock: nothing is called out to while held
-  // except buffer-pool page fetches (themselves a leaf).
-  std::unique_ptr<std::mutex> mu_ = std::make_unique<std::mutex>();
+  // except buffer-pool page fetches (themselves a leaf). Decoding takes
+  // it only on the internal dictionary's probe misses (CodeCodec).
+  std::unique_ptr<obs::TrackedMutex> mu_ =
+      std::make_unique<obs::TrackedMutex>(
+          EDUCE_LOCK_SITE("external_dictionary.mu"));
 };
 
 }  // namespace educe::edb

@@ -9,25 +9,32 @@ namespace educe::edb {
 
 namespace {
 
-/// Enumerates pre-fetched matching facts, unifying each against the saved
-/// argument registers. Collecting all candidates up front is the paper's
+/// Enumerates pre-fetched matching fact rows, decoding each straight onto
+/// the heap and unifying its arguments against the saved argument
+/// registers. Collecting all candidates up front is the paper's
 /// "deterministic procedure to collect all the clauses for the wanted
 /// predicate, at once" (§3.2.1); it also groups the EDB reads together.
 class FactGenerator : public wam::Generator {
  public:
-  FactGenerator(std::vector<term::AstPtr> facts, uint32_t arity)
-      : facts_(std::move(facts)), arity_(arity) {}
+  FactGenerator(std::vector<ClauseStore::FactRow> rows, uint32_t arity,
+                CodeCodec* codec)
+      : rows_(std::move(rows)), arity_(arity), codec_(codec) {}
 
   base::Result<bool> Next(wam::Machine* machine) override {
-    while (next_ < facts_.size()) {
-      const term::AstPtr& fact = facts_[next_++];
+    while (next_ < rows_.size()) {
+      const ClauseStore::FactRow& row = rows_[next_++];
       const size_t mark = machine->TrailMark();
-      std::vector<term::Cell> var_cells;
+      EDUCE_ASSIGN_OR_RETURN(term::Cell fact,
+                             codec_->DecodeOntoHeap(row.payload, machine));
       bool ok = true;
-      for (uint32_t i = 0; i < arity_ && ok; ++i) {
-        EDUCE_ASSIGN_OR_RETURN(term::Cell cell,
-                               machine->ImportAst(*fact->args[i], &var_cells));
-        ok = machine->Unify(machine->X(i), cell);
+      if (arity_ > 0) {
+        // A structure's arguments follow its functor cell; a '.'/2 row
+        // decodes to a list cell, whose two arguments start at its address.
+        const uint64_t args =
+            fact.tag() == term::Tag::kLis ? fact.addr() : fact.addr() + 1;
+        for (uint32_t i = 0; i < arity_ && ok; ++i) {
+          ok = machine->Unify(machine->X(i), machine->HeapAt(args + i));
+        }
       }
       if (ok) return true;
       machine->UndoTo(mark);
@@ -36,8 +43,9 @@ class FactGenerator : public wam::Generator {
   }
 
  private:
-  std::vector<term::AstPtr> facts_;
+  std::vector<ClauseStore::FactRow> rows_;
   uint32_t arity_;
+  CodeCodec* codec_;
   size_t next_ = 0;
 };
 
@@ -50,26 +58,21 @@ base::Result<wam::ExternalResolver::Resolution> EdbResolver::ResolveFacts(
   // CollectFacts drains the scan under one read-latch hold, so a
   // concurrent edb_assert in another session cannot split buckets and
   // relocate records under the cursor mid-drain.
-  EDUCE_ASSIGN_OR_RETURN(std::vector<ClauseStore::FactMatch> matches,
+  EDUCE_ASSIGN_OR_RETURN(std::vector<ClauseStore::FactRow> rows,
                          store_->CollectFacts(proc, pattern));
-  std::vector<term::AstPtr> facts;
-  facts.reserve(matches.size());
-  for (ClauseStore::FactMatch& match : matches) {
-    facts.push_back(std::move(match.fact));
-  }
 
   Resolution resolution;
-  if (facts.empty() && options_.choice_point_elimination) {
+  if (rows.empty() && options_.choice_point_elimination) {
     ++stats_.fact_calls_deterministic;
     resolution.kind = Resolution::Kind::kFail;
     return resolution;
   }
   resolution.kind = Resolution::Kind::kGenerator;
   resolution.at_most_one =
-      options_.choice_point_elimination && facts.size() <= 1;
+      options_.choice_point_elimination && rows.size() <= 1;
   if (resolution.at_most_one) ++stats_.fact_calls_deterministic;
-  resolution.generator =
-      std::make_unique<FactGenerator>(std::move(facts), arity);
+  resolution.generator = std::make_unique<FactGenerator>(
+      std::move(rows), arity, store_->codec());
   return resolution;
 }
 

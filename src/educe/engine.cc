@@ -444,15 +444,14 @@ void Engine::RegisterEdbBuiltins() {
         // the two; that surfaces as NotFound here and we move on to the
         // next match, so each stored fact is retracted by at most one
         // session.
-        auto matches = clause_store_.CollectFacts(proc, pattern);
-        if (!matches.ok()) return err(m, matches.status());
-        for (const auto& match : *matches) {
+        auto rows = clause_store_.CollectFacts(proc, pattern);
+        if (!rows.ok()) return err(m, rows.status());
+        for (const auto& row : *rows) {
           const size_t mark = m->TrailMark();
-          std::vector<Cell> cells;
-          auto imported = m->ImportAst(*match.fact, &cells);
-          if (!imported.ok()) return err(m, imported.status());
-          if (m->Unify(m->X(0), *imported)) {
-            base::Status st = clause_store_.DeleteFact(proc, match.rid);
+          auto fact = codec_.DecodeOntoHeap(row.payload, m);
+          if (!fact.ok()) return err(m, fact.status());
+          if (m->Unify(m->X(0), *fact)) {
+            base::Status st = clause_store_.DeleteFact(proc, row.rid);
             // A failed DeleteFact appended nothing; only a success commits.
             if (st.ok()) st = clause_store_.Commit();
             if (st.ok()) return BuiltinResult::kTrue;
@@ -488,14 +487,14 @@ void Engine::RegisterEdbBuiltins() {
         edb::CallPattern pattern(proc->arity);  // all wildcards
         // One read-latch hold for the whole scan: concurrent asserts
         // cannot split buckets under the cursor.
-        auto matches = clause_store_.CollectFacts(proc, pattern);
-        if (!matches.ok()) return err(m, matches.status());
+        auto rows = clause_store_.CollectFacts(proc, pattern);
+        if (!rows.ok()) return err(m, rows.status());
         std::vector<Cell> facts;
-        for (const auto& match : *matches) {
-          std::vector<Cell> cells;
-          auto imported = m->ImportAst(*match.fact, &cells);
-          if (!imported.ok()) return err(m, imported.status());
-          facts.push_back(*imported);
+        facts.reserve(rows->size());
+        for (const auto& row : *rows) {
+          auto fact = codec_.DecodeOntoHeap(row.payload, m);
+          if (!fact.ok()) return err(m, fact.status());
+          facts.push_back(*fact);
         }
         Cell list = Cell::Con(
             dictionary_.Intern("[]", 0).ValueOr(0));

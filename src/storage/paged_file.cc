@@ -21,13 +21,21 @@ namespace {
 constexpr uint64_t kImageMagic = 0x3147504543554445ull;  // "EDUCEPG1"
 constexpr uint32_t kImageVersion = 1;
 
-uint64_t ChecksumPages(
-    uint32_t page_size, const std::vector<std::unique_ptr<char[]>>& pages) {
+/// The image checksum: FNV-1a of the page size, folded with each page's
+/// FNV-1a in page order. `hashes` (parallel to `pages`) caches the
+/// per-page values: a missing one is computed and stored.
+uint64_t ChecksumPages(uint32_t page_size,
+                       const std::vector<std::unique_ptr<char[]>>& pages,
+                       std::vector<std::optional<uint64_t>>* hashes) {
   uint64_t h = base::Fnv1a64(
       std::string_view(reinterpret_cast<const char*>(&page_size),
                        sizeof(page_size)));
-  for (const auto& page : pages) {
-    h ^= base::Fnv1a64(std::string_view(page.get(), page_size));
+  for (size_t i = 0; i < pages.size(); ++i) {
+    std::optional<uint64_t>& page_hash = (*hashes)[i];
+    if (!page_hash) {
+      page_hash = base::Fnv1a64(std::string_view(pages[i].get(), page_size));
+    }
+    h ^= *page_hash;
     h *= 1099511628211ull;
   }
   return h;
@@ -50,6 +58,7 @@ PageId PagedFile::Allocate() {
   std::memset(page.get(), 0, options_.page_size);
   pages_.push_back(std::move(page));
   page_lsns_.push_back(0);
+  page_hashes_.emplace_back();
   ++stats_.pages_allocated;
   return static_cast<PageId>(pages_.size() - 1);
 }
@@ -76,6 +85,7 @@ base::Status PagedFile::Write(PageId id, const char* in, uint64_t lsn) {
   }
   ChargeLatency();
   std::memcpy(pages_[id].get(), in, options_.page_size);
+  page_hashes_[id].reset();
   if (lsn > page_lsns_[id]) page_lsns_[id] = lsn;
   ++stats_.pages_written;
   return base::Status::OK();
@@ -109,7 +119,8 @@ base::Status PagedFile::SaveImage(const std::string& path) const {
     written = WriteFull(*fd, page.get(), page_size, "image_page_write");
   }
   if (written.ok()) {
-    const uint64_t checksum = ChecksumPages(page_size, pages_);
+    const uint64_t checksum =
+        ChecksumPages(page_size, pages_, &page_hashes_);
     written = WriteFull(*fd, reinterpret_cast<const char*>(&checksum),
                         sizeof(checksum));
   }
@@ -175,12 +186,14 @@ base::Status PagedFile::LoadImage(const std::string& path) {
     return fail(
         base::Status::Corruption("truncated paged-file image " + path));
   }
-  if (stored_checksum != ChecksumPages(page_size, pages)) {
+  std::vector<std::optional<uint64_t>> hashes(pages.size());
+  if (stored_checksum != ChecksumPages(page_size, pages, &hashes)) {
     return fail(base::Status::Corruption("checksum mismatch in " + path));
   }
   EDUCE_RETURN_IF_ERROR(CloseFd(*fd, path));
   options_.page_size = page_size;
   pages_ = std::move(pages);
+  page_hashes_ = std::move(hashes);
   // LSN stamps are per-process bookkeeping; a freshly loaded image is
   // consistent with everything the WAL absorbed before it was saved.
   page_lsns_.assign(pages_.size(), 0);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,9 @@ class PagedFile {
 
   /// Writes all page images to `path` (atomic: a temp file is fsynced,
   /// then renamed into place), with a header and a whole-file checksum.
+  /// The checksum folds one FNV-1a per page; each page's value is cached
+  /// until Write/Allocate changes that page, so a save re-hashes only the
+  /// pages written since the last save or load.
   /// All I/O goes through storage::WriteFull (io_util.h): interrupted
   /// syscalls are retried and short writes continued, so a signal-heavy
   /// server process can never persist a silently truncated image.
@@ -109,6 +113,10 @@ class PagedFile {
   Options options_;
   std::vector<std::unique_ptr<char[]>> pages_;
   std::vector<uint64_t> page_lsns_;  // parallel to pages_; see Write()
+  // Parallel to pages_: each page image's FNV-1a, or nullopt once the
+  // page changed since it was last hashed. Filled by SaveImage (hence
+  // mutable) and by LoadImage, whose verification computes them anyway.
+  mutable std::vector<std::optional<uint64_t>> page_hashes_;
   PagedFileStats stats_;
 };
 

@@ -147,6 +147,16 @@ class Machine {
                                      const std::vector<term::Cell>& args);
   /// Builds a cons cell [head | tail].
   term::Cell NewList(term::Cell head, term::Cell tail);
+  /// Appends `n` placeholder cells (integer 0) to the heap and returns
+  /// the address of the first, for code that fills a term's cells in
+  /// place with SetHeapAt (the EDB fact decoder).
+  uint64_t AllocateHeap(size_t n) {
+    heap_.resize(heap_.size() + n, term::Cell::Int(0));
+    return heap_.size() - n;
+  }
+  void SetHeapAt(uint64_t addr, term::Cell cell) { heap_[addr] = cell; }
+  /// The '.'/2 functor: a compound with it is built as a list cell.
+  dict::SymbolId dot_symbol() const { return dot_symbol_; }
 
   /// Full unification with trailing. False: failure (bindings made before
   /// the failure point remain; callers relying on atomic unify must

@@ -78,6 +78,61 @@ TEST(DictionaryTest, RemovedSymbolCanBeReinterned) {
   EXPECT_EQ(dict.NameOf(*a2), "transient");
 }
 
+TEST(DictionaryTest, ExternalMarkIsClearedByRemoveAndSlotReuse) {
+  Dictionary::Options options;
+  options.segment_capacity = 8;
+  Dictionary dict(options);
+  auto alpha = dict.Intern("alpha", 0);
+  ASSERT_TRUE(alpha.ok());
+  const uint64_t alpha_hash = dict.HashOf(*alpha);
+  // Unmarked: the probe does not answer for it.
+  EXPECT_FALSE(dict.FindExternal(alpha_hash).has_value());
+  dict.MarkExternal(*alpha, alpha_hash);
+  auto found = dict.FindExternal(alpha_hash);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->id, *alpha);
+  EXPECT_EQ(found->arity, 0u);
+
+  // A removed slot is unmarked, and the probe never returns it.
+  ASSERT_TRUE(dict.Remove(*alpha).ok());
+  EXPECT_FALSE(dict.FindExternal(alpha_hash).has_value());
+
+  // Another symbol whose home slot is alpha's lands on its tombstone and
+  // takes its id; the reused slot starts unmarked.
+  const uint32_t home = *alpha & (options.segment_capacity - 1);
+  std::string other;
+  for (int i = 0;; ++i) {
+    other = "other" + std::to_string(i);
+    if ((base::HashFunctor(other, 1) & (options.segment_capacity - 1)) ==
+        home) {
+      break;
+    }
+  }
+  auto reused = dict.Intern(other, 1);
+  ASSERT_TRUE(reused.ok());
+  ASSERT_EQ(*reused, *alpha) << "expected the tombstone to be reused";
+  EXPECT_FALSE(dict.FindExternal(alpha_hash).has_value());
+  EXPECT_FALSE(dict.FindExternal(dict.HashOf(*reused)).has_value());
+  dict.MarkExternal(*reused, dict.HashOf(*reused));
+  found = dict.FindExternal(dict.HashOf(*reused));
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->id, *reused);
+  EXPECT_EQ(found->arity, 1u);
+  EXPECT_FALSE(dict.FindExternal(alpha_hash).has_value());
+}
+
+TEST(DictionaryTest, MarkExternalRefusesAForeignHash) {
+  // The external dictionary remaps the one hash BANG reserves; a symbol
+  // whose external hash is not its own must stay on the miss path.
+  Dictionary dict;
+  auto beta = dict.Intern("beta", 2);
+  ASSERT_TRUE(beta.ok());
+  const uint64_t own = dict.HashOf(*beta);
+  dict.MarkExternal(*beta, own ^ 1);
+  EXPECT_FALSE(dict.FindExternal(own).has_value());
+  EXPECT_FALSE(dict.FindExternal(own ^ 1).has_value());
+}
+
 TEST(DictionaryTest, SegmentsChainedPastHighWater) {
   Dictionary::Options options;
   options.segment_capacity = 64;

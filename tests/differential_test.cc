@@ -461,5 +461,65 @@ TEST_F(FactFilterDifferentialTest, EdbFactsMatchConsultedFacts) {
   EXPECT_TRUE(EngineSolutions(&edb, "z", 10).empty());
 }
 
+// Fact rows decode straight onto the heap. Compound, nested and list
+// arguments must come back as the same terms the source-mode store
+// (clause text, parsed and compiled per call) yields for the same facts,
+// through the resolver, edb_scan and edb_retract alike.
+TEST(FactDecodeDifferentialTest, EdbFactsMatchSourceStoredFacts) {
+  const std::string facts =
+      "t(1, f(a, g(b, 2)), [x, y, z]).\n"
+      "t(2, [f(a), [1, 2.5], []], h([a|b])).\n"
+      "t(3, 'Quoted atom', [[], [[]]]).\n"
+      "t(4, -7, p(-1.25, q(r(s(t)))) ).\n"
+      "t(5, [a|tail], '[]').\n"
+      "t(6, point(1, 2), [point(3, 4), point(5, 6)]).\n"
+      "t(7, 'hello world', \"codes\").\n";
+  EngineOptions source_options;
+  source_options.rule_storage = RuleStorage::kSource;
+  Engine source(source_options);
+  ASSERT_TRUE(source.StoreRulesExternal(facts).ok());
+  Engine edb;
+  ASSERT_TRUE(edb.DeclareRelation("t", 3, {0}).ok());
+  ASSERT_TRUE(edb.StoreFactsExternal(facts).ok());
+
+  auto sorted = [](std::vector<std::string> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  for (const std::string& query : std::vector<std::string>{
+           "t(I, A, B)", "t(1, f(X, g(Y, Z)), [H|T])", "t(I, [F|R], B)",
+           "t(I, A, [[]|R])", "t(I, A, p(F, q(r(X))))", "t(I, [a|T], A)",
+           "t(I, A, [point(X, Y)|R])", "t(I, A, h([H|T]))",
+           "t(I, 'Quoted atom', B)", "t(I, A, [x, y, z])",
+           "t(I, A, [x, y])", "t(I, A, B), A = [_, [N, F], _]"}) {
+    const std::vector<std::string> expected =
+        sorted(EngineSolutions(&source, query, 100));
+    EXPECT_EQ(sorted(EngineSolutions(&edb, query, 100)), expected) << query;
+  }
+  // Not vacuous: list arguments are lists, not '.'/2 structures.
+  EXPECT_EQ(EngineSolutions(&edb, "t(I, [F|R], B)", 100).size(), 2u);
+
+  // edb_scan ships the whole relation as one list of terms, in storage
+  // order; sorted, it is the source store's list of facts.
+  auto sorted_list = [](Engine* engine, const std::string& goal) {
+    auto q = engine->Query(goal + ", msort(L, S)");
+    EXPECT_TRUE(q.ok()) << q.status();
+    if (!q.ok()) return std::string();
+    auto more = (*q)->Next();
+    EXPECT_TRUE(more.ok() && *more) << goal;
+    return (*q)->Binding("S");
+  };
+  const std::string scanned = sorted_list(&edb, "edb_scan(t/3, L)");
+  EXPECT_EQ(scanned,
+            sorted_list(&source, "findall(t(I, A, B), t(I, A, B), L)"));
+  EXPECT_NE(scanned.find("h([a|b])"), std::string::npos) << scanned;
+
+  // edb_retract unifies a decoded row with a compound pattern.
+  EXPECT_EQ(
+      EngineSolutions(&edb, "edb_retract(t(I, [f(X)|R], h([a|B])))", 10),
+      EngineSolutions(&source, "t(I, [f(X)|R], h([a|B]))", 10));
+  EXPECT_EQ(EngineSolutions(&edb, "t(2, A, B)", 10).size(), 0u);
+}
+
 }  // namespace
 }  // namespace educe

@@ -146,8 +146,10 @@ TEST_F(EdbTest, FactStoreAndScan) {
   auto matches = store_.CollectFacts(*proc, pattern);
   ASSERT_TRUE(matches.ok()) << matches.status();
   EXPECT_EQ(matches->size(), 2u);
-  for (const ClauseStore::FactMatch& match : *matches) {
-    EXPECT_EQ(dict_.NameOf(match.fact->args[0]->functor), "a");
+  for (const ClauseStore::FactRow& row : *matches) {
+    auto fact = codec_.DecodeTerm(row.payload);
+    ASSERT_TRUE(fact.ok()) << fact.status();
+    EXPECT_EQ(dict_.NameOf((*fact)->args[0]->functor), "a");
   }
 
   // Fully bound: exactly one.
@@ -156,7 +158,9 @@ TEST_F(EdbTest, FactStoreAndScan) {
   auto exact = store_.CollectFacts(*proc, pattern);
   ASSERT_TRUE(exact.ok()) << exact.status();
   ASSERT_EQ(exact->size(), 1u);
-  EXPECT_EQ(dict_.NameOf((*exact)[0].fact->args[1]->functor), "c");
+  auto fact = codec_.DecodeTerm((*exact)[0].payload);
+  ASSERT_TRUE(fact.ok()) << fact.status();
+  EXPECT_EQ(dict_.NameOf((*fact)->args[1]->functor), "c");
 }
 
 TEST_F(EdbTest, FactStoreRejectsNonGround) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -498,6 +499,43 @@ TEST(EngineTest, ExternalFactsSurviveDictionaryGc) {
   auto v = engine.First("kv(beta, V)");
   ASSERT_TRUE(v.ok()) << v.status();
   EXPECT_EQ((*v)["V"], "2");
+}
+
+TEST(EngineTest, FactDecodeAfterDictionaryGcTakesTheMissPath) {
+  // Decoding marks each atom it resolves, so later rows skip the name
+  // round trip. The sweep removes those symbols and their marks; the next
+  // decode must resolve every address afresh, even where other symbols
+  // now occupy the swept slots.
+  Engine engine;
+  ASSERT_TRUE(engine.DeclareRelation("color", 2).ok());
+  ASSERT_TRUE(engine
+                  .StoreFactsExternal("color(sky, blue). color(grass, green). "
+                                      "color(rose, pair(red, [pink])).")
+                  .ok());
+  const std::vector<std::string> expected = {"blue", "green",
+                                             "pair(red,[pink])"};
+  auto sorted = [](std::vector<std::string> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  ASSERT_EQ(sorted(Bindings(&engine, "color(T, C)", "C")), expected);
+
+  ASSERT_TRUE(engine.Succeeds("true").ok());
+  auto removed = engine.CollectDictionary();
+  ASSERT_TRUE(removed.ok()) << removed.status();
+  EXPECT_FALSE(engine.dictionary()->Lookup("blue", 0).has_value());
+  EXPECT_FALSE(engine.dictionary()->Lookup("pair", 2).has_value());
+  // Refill tombstones with unrelated symbols.
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(
+        engine.dictionary()->Intern("filler" + std::to_string(i), 0).ok());
+  }
+
+  EXPECT_EQ(sorted(Bindings(&engine, "color(T, C)", "C")), expected);
+  EXPECT_EQ(Bindings(&engine, "color(sky, C)", "C"),
+            (std::vector<std::string>{"blue"}));
+  EXPECT_EQ(Bindings(&engine, "color(rose, pair(R, [P]))", "P"),
+            (std::vector<std::string>{"pink"}));
 }
 
 // At most one Solutions may be active per machine: a second Query while

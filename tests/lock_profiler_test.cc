@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "educe/engine.h"
 #include "obs/histogram.h"
 #include "obs/lock_profiler.h"
 #include "obs/trace.h"
@@ -313,6 +314,34 @@ TEST_F(LockProfilerTest, SnapshotWhileRecordingIsSafe) {
   ASSERT_NE(s, nullptr);
   EXPECT_GT(s->exclusive_acquires, 0u);
   EXPECT_EQ(s->wait_ns.count(), s->exclusive_acquires);
+}
+
+// Fact decode resolves each stored atom by a probe of the internal
+// dictionary; the external dictionary's mutex is taken only on a probe
+// miss, once per distinct symbol however many rows repeat it.
+TEST_F(LockProfilerTest, FactDecodeTakesTheExternalDictionaryOncePerSymbol) {
+  if (!LockProfiler::compiled_in()) GTEST_SKIP();
+  Engine engine;
+  ASSERT_TRUE(engine.DeclareRelation("row", 2).ok());
+  std::string facts;
+  for (int i = 0; i < 300; ++i) {
+    facts += "row(" + std::to_string(i) + ", tag_" + std::to_string(i % 5) +
+             "). ";
+  }
+  ASSERT_TRUE(engine.StoreFactsExternal(facts).ok());
+  LockProfiler::SetEnabled(true);
+  for (int round = 0; round < 3; ++round) {
+    auto count = engine.CountSolutions("row(I, T)");
+    ASSERT_TRUE(count.ok()) << count.status();
+    EXPECT_EQ(*count, 300u);
+  }
+  LockProfiler::SetEnabled(false);
+  const auto sites = LockProfiler::Snapshot();
+  const LockSiteStats* s = FindSite(sites, "external_dictionary.mu");
+  ASSERT_NE(s, nullptr);
+  // 900 rows decoded; six distinct symbols: row/2 and tag_0 .. tag_4.
+  EXPECT_GE(s->exclusive_acquires, 1u);
+  EXPECT_LE(s->exclusive_acquires, 6u);
 }
 
 // --- Export ---------------------------------------------------------------

@@ -177,6 +177,93 @@ TEST(ParallelTest, QueryScaffoldingIsolatedAcrossSessions) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST(ParallelTest, SessionsDecodeAtomsMintedByAConcurrentWriter) {
+  // Each assert mints a fresh atom and functor, so the readers' first
+  // decode of every new row takes the probe's miss path (external
+  // dictionary round trip, intern, mark) while other readers probe the
+  // same slots and the writer interns more. Every answer must pair each
+  // key with exactly its own atom.
+  Engine engine;
+  constexpr int kBase = 40;
+  constexpr int kWrites = 120;
+  constexpr int kReaders = 4;
+  ASSERT_TRUE(engine.DeclareRelation("tagged", 2, {0}).ok());
+  std::ostringstream facts;
+  for (int i = 0; i < kBase; ++i) {
+    facts << "tagged(" << i << ", base_" << i << "). ";
+  }
+  ASSERT_TRUE(engine.StoreFactsExternal(facts.str()).ok());
+  auto expected_tag = [](int key) {
+    if (key < kBase) return "base_" + std::to_string(key);
+    const std::string n = std::to_string(key - 1000);
+    return "m_" + n + "(minted_" + n + ",[l_" + n + "])";
+  };
+
+  std::atomic<int> failures{0};
+  std::atomic<bool> writer_done{false};
+  // Checks one full answer to tagged(K, T); returns its row count.
+  auto check_all = [&](Session* s) -> uint64_t {
+    auto q = s->Query("tagged(K, T)");
+    if (!q.ok()) {
+      ++failures;
+      return 0;
+    }
+    std::set<int> keys;
+    for (;;) {
+      auto more = (*q)->Next();
+      if (!more.ok()) ++failures;
+      if (!more.ok() || !*more) break;
+      const int key = std::stoi((*q)->Binding("K"));
+      if ((*q)->Binding("T") != expected_tag(key)) ++failures;
+      if (!keys.insert(key).second) ++failures;
+    }
+    return keys.size();
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    auto session = engine.OpenSession();
+    ASSERT_TRUE(session.ok()) << session.status();
+    readers.emplace_back([&, t, s = std::move(*session)]() mutable {
+      uint64_t last = kBase;
+      while (!writer_done.load(std::memory_order_acquire)) {
+        const uint64_t rows = check_all(s.get());
+        // Rows only ever appear: a later scan never sees fewer.
+        if (rows < last || rows > kBase + kWrites) ++failures;
+        last = rows;
+        // A point lookup on a freshly minted row, spread across readers.
+        const int key = 1000 + static_cast<int>(rows - kBase) - 1 - t;
+        if (key >= 1000) {
+          auto first = s->Query("tagged(" + std::to_string(key) + ", T)");
+          if (!first.ok()) {
+            ++failures;
+            continue;
+          }
+          auto more = (*first)->Next();
+          if (!more.ok() || !*more ||
+              (*first)->Binding("T") != expected_tag(key)) {
+            ++failures;
+          }
+        }
+      }
+      if (check_all(s.get()) != kBase + kWrites) ++failures;
+    });
+  }
+  {
+    auto writer = engine.OpenSession();
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (int i = 0; i < kWrites; ++i) {
+      const std::string n = std::to_string(i);
+      auto ok = (*writer)->Succeeds("edb_assert(tagged(" +
+                                    std::to_string(1000 + i) + ", m_" + n +
+                                    "(minted_" + n + ", [l_" + n + "])))");
+      if (!ok.ok() || !*ok) ++failures;
+    }
+  }
+  writer_done.store(true, std::memory_order_release);
+  for (auto& thread : readers) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(ParallelTest, InvalidationUnderLoadServesOldOrNewCode) {
   // A writer keeps appending clauses to an external compiled rule while
   // reader sessions execute it. Every observed solution count must equal

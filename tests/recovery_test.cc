@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -499,6 +500,80 @@ TEST(RecoveryTest, OnlineCheckpointConcurrentWithFreshAtomAsserts) {
                                      std::to_string(i));
       }
     }
+  }
+  RemoveDb(path);
+  RemoveDb(crashed);
+}
+
+TEST(RecoveryTest, ReplayedAtomsDecodeThroughAFreshDictionary) {
+  // A reopened engine starts with a fresh internal dictionary: no symbol
+  // is marked as checked against the external dictionary, and the atoms
+  // minted by asserts after the last checkpoint come back only through
+  // WAL replay. Every decode then takes the miss path first; the answers
+  // must equal the pre-crash ones, for the as-if-crashed copy (image +
+  // log replay) and for the cleanly closed database alike.
+  const std::string path = TempDbPath("fresh_dict");
+  const std::string crashed = TempDbPath("fresh_dict_crashed");
+  EngineOptions options;
+  options.db_path = path;
+  const std::vector<std::string> goals = {
+      "a(I, X)", "a(12, X)", "a(I, minted_3(G, L))", "a(I, f(two, [H|T]))",
+      "b(K, V)"};
+  auto answers = [&goals](Engine* engine) {
+    std::vector<std::string> out;
+    for (const std::string& goal : goals) {
+      auto q = engine->Query(goal);
+      EXPECT_TRUE(q.ok()) << goal << ": " << q.status();
+      if (!q.ok()) continue;
+      std::vector<std::string> rows;
+      for (;;) {
+        auto more = (*q)->Next();
+        EXPECT_TRUE(more.ok()) << goal << ": " << more.status();
+        if (!more.ok() || !*more) break;
+        std::string row = goal + " ->";
+        for (const auto& [name, value] : (*q)->All()) {
+          row += " " + name + "=" + value;
+        }
+        rows.push_back(std::move(row));
+      }
+      std::sort(rows.begin(), rows.end());
+      out.insert(out.end(), rows.begin(), rows.end());
+    }
+    return out;
+  };
+  std::vector<std::string> before;
+  {
+    Engine engine(options);
+    ASSERT_TRUE(engine.DeclareRelation("a", 2).ok());
+    ASSERT_TRUE(engine.StoreFactsExternal("a(1, one). a(2, f(two, [x, y])).")
+                    .ok());
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    for (int i = 0; i < 20; ++i) {
+      const std::string n = std::to_string(i);
+      auto ok = engine.Succeeds("edb_assert(a(" + std::to_string(10 + i) +
+                                ", minted_" + n + "(g" + n + ", [m" + n +
+                                ", 'Minted " + n + "'])))");
+      ASSERT_TRUE(ok.ok() && *ok) << i;
+    }
+    ASSERT_TRUE(engine.Succeeds("edb_assert(b(k, fresh_value))").ok());
+    before = answers(&engine);
+    ASSERT_EQ(before.size(), 22u + 1u + 1u + 1u + 1u);
+    std::filesystem::copy_file(
+        path, crashed, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::copy_file(
+        path + ".wal", crashed + ".wal",
+        std::filesystem::copy_options::overwrite_existing);
+    ASSERT_TRUE(engine.Close().ok());
+  }
+  for (const std::string& db : {crashed, path}) {
+    EngineOptions reopen;
+    reopen.db_path = db;
+    Engine engine(reopen);
+    ASSERT_TRUE(engine.open_status().ok()) << db << ": "
+                                           << engine.open_status();
+    EXPECT_FALSE(engine.dictionary()->Lookup("minted_3", 2).has_value())
+        << "the reopened dictionary should not know the minted atoms yet";
+    EXPECT_EQ(answers(&engine), before) << db;
   }
   RemoveDb(path);
   RemoveDb(crashed);

@@ -696,6 +696,71 @@ TEST(PagedFileTest, SaveLoadImageRoundTripsThroughPosixPath) {
   std::remove(path.c_str());
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// SaveImage re-hashes only pages written since the last save or load. Its
+// image must be byte-identical to one saved from a fresh file holding the
+// same pages, whose every page hash is computed from scratch.
+TEST(PagedFileTest, CachedPageHashesMatchFullRecompute) {
+  const std::string path = ::testing::TempDir() + "/cached_hashes.educe";
+  const std::string fresh_path = ::testing::TempDir() + "/full_hashes.educe";
+  base::Rng rng(24);
+  PagedFile file;
+  for (int i = 0; i < 16; ++i) file.Allocate();
+  std::vector<char> page(file.page_size());
+
+  auto check_against_fresh = [&](PagedFile& saved) {
+    ASSERT_TRUE(saved.SaveImage(path).ok());
+    PagedFile fresh;
+    std::vector<char> copy(saved.page_size());
+    for (PageId id = 0; id < saved.page_count(); ++id) {
+      ASSERT_TRUE(saved.Read(id, copy.data()).ok());
+      ASSERT_EQ(fresh.Allocate(), id);
+      ASSERT_TRUE(fresh.Write(id, copy.data()).ok());
+    }
+    ASSERT_TRUE(fresh.SaveImage(fresh_path).ok());
+    EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(fresh_path));
+  };
+
+  for (int round = 0; round < 8; ++round) {
+    // Round 0 writes nothing: every hash is still cold.
+    const int writes = round == 0 ? 0 : static_cast<int>(rng.Below(6));
+    for (int w = 0; w < writes; ++w) {
+      for (char& c : page) c = static_cast<char>(rng.Next());
+      ASSERT_TRUE(
+          file.Write(static_cast<PageId>(rng.Below(file.page_count())),
+                     page.data())
+              .ok());
+    }
+    if (round % 3 == 2) file.Allocate();
+    check_against_fresh(file);
+  }
+
+  // A loaded file starts from the hashes its verification computed.
+  PagedFile loaded;
+  ASSERT_TRUE(loaded.LoadImage(path).ok());
+  for (char& c : page) c = static_cast<char>(rng.Next());
+  ASSERT_TRUE(loaded.Write(3, page.data()).ok());
+  check_against_fresh(loaded);
+  PagedFile reloaded;
+  ASSERT_TRUE(reloaded.LoadImage(path).ok());
+
+  // One flipped byte in a page image still fails the load.
+  std::string bytes = ReadFileBytes(path);
+  bytes[20 + 5 * file.page_size() + 7] ^= 0x40;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  PagedFile corrupt;
+  base::Status st = corrupt.LoadImage(path);
+  EXPECT_EQ(st.code(), base::StatusCode::kCorruption) << st;
+  std::remove(path.c_str());
+  std::remove(fresh_path.c_str());
+}
+
 TEST(PagedFileTest, SimulatedLatencyIsCharged) {
   PagedFile::Options options;
   options.simulated_latency_ns = 200000;  // 0.2 ms
