@@ -6,9 +6,10 @@
 // The burst shape is the point: with pool_sessions worker sessions and a
 // handful of handler threads, a 1000-client burst exercises the whole
 // admission path — kernel-buffered request lines, synchronous handler
-// execution, per-solution streamed writes — rather than a polite
-// one-at-a-time request loop. Counts (bindings, dones, errors) are
-// exact, so any dropped or duplicated answer under load aborts the run.
+// execution, one write per query reply (or per 64 KiB of it) — rather
+// than a polite one-at-a-time request loop. Counts (bindings, dones,
+// errors) are exact, so any dropped or duplicated answer under load
+// aborts the run.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>

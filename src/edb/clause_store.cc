@@ -424,7 +424,7 @@ void ClauseStore::NotifyMutation(ProcedureInfo* proc) {
 
 ProcedureInfo* ClauseStore::Find(dict::SymbolId functor) {
   {
-    std::lock_guard<obs::TrackedMutex> lock(functor_cache_mu_);
+    std::shared_lock<obs::TrackedSharedMutex> lock(functor_cache_mu_);
     auto cached = by_functor_.find(functor);
     if (cached != by_functor_.end()) return cached->second;
   }
@@ -432,7 +432,7 @@ ProcedureInfo* ClauseStore::Find(dict::SymbolId functor) {
   ProcedureInfo* info = Find(dictionary_->NameOf(functor),
                              dictionary_->ArityOf(functor));
   if (info != nullptr) {
-    std::lock_guard<obs::TrackedMutex> lock(functor_cache_mu_);
+    std::lock_guard<obs::TrackedSharedMutex> lock(functor_cache_mu_);
     by_functor_[functor] = info;
   }
   return info;
@@ -1004,7 +1004,7 @@ base::Status ClauseStore::RestoreCatalog(std::string_view state) {
   clauses_relation_ =
       std::make_unique<storage::BangFile>(std::move(clauses));
   {
-    std::lock_guard<obs::TrackedMutex> lock(functor_cache_mu_);
+    std::lock_guard<obs::TrackedSharedMutex> lock(functor_cache_mu_);
     by_functor_.clear();
   }
   by_hash_.clear();

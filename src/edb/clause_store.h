@@ -328,7 +328,7 @@ class ClauseStore {
   /// Drops the SymbolId -> procedure cache (required before dictionary
   /// garbage collection: cached ids may be swept).
   void InvalidateFunctorCache() {
-    std::lock_guard<obs::TrackedMutex> lock(functor_cache_mu_);
+    std::lock_guard<obs::TrackedSharedMutex> lock(functor_cache_mu_);
     by_functor_.clear();
   }
 
@@ -391,8 +391,9 @@ class ClauseStore {
   mutable obs::TrackedMutex listeners_mu_{
       EDUCE_LOCK_SITE("clause_store.listeners")};
   /// Guards by_functor_ only: the SymbolId cache is written on the (read)
-  /// lookup path, so it cannot live under the shared latch.
-  mutable obs::TrackedMutex functor_cache_mu_{
+  /// lookup path, so it cannot live under the shared latch. A hit takes
+  /// it shared; the miss insert and the clears take it exclusive.
+  mutable obs::TrackedSharedMutex functor_cache_mu_{
       EDUCE_LOCK_SITE("clause_store.functor_cache")};
   storage::Wal* wal_ = nullptr;
   ClauseStoreStats stats_;

@@ -189,10 +189,13 @@ std::string RenderPrometheus(Engine* engine, const QueryServer* server) {
     Counter(&out, "educe_server_queries_error_total",
             "Queries answered with an error line.", s.queries_error);
     Counter(&out, "educe_server_queries_aborted_total",
-            "Queries aborted by client disconnect mid-stream.",
+            "Queries whose reply write failed (client gone).",
             s.queries_aborted);
     Counter(&out, "educe_server_bindings_sent_total",
-            "Binding lines streamed.", s.bindings_sent);
+            "Binding lines put in a query reply.", s.bindings_sent);
+    Counter(&out, "educe_server_writes_total",
+            "Socket writes (one per reply, or per 64 KiB of one).",
+            s.writes);
     const SessionPool* pool = server->pool();
     if (pool != nullptr) {
       Gauge(&out, "educe_server_pool_sessions", "Worker sessions in the pool.",

@@ -68,6 +68,20 @@ std::string TraceIdField(uint64_t trace_id) {
   return ",\"trace_id\":\"" + std::to_string(trace_id) + "\"";
 }
 
+/// An error response line, '\n' included. trace_id 0 omits the field.
+std::string ErrorLine(uint64_t id, std::string_view code,
+                      std::string_view message, uint64_t trace_id) {
+  return "{\"type\":\"error\",\"id\":" + std::to_string(id) +
+         ",\"code\":" + JsonQuote(code) + ",\"message\":" +
+         JsonQuote(message) + (trace_id != 0 ? TraceIdField(trace_id) : "") +
+         "}\n";
+}
+
+/// A query reply is written whenever its buffer reaches this size, and
+/// once more at its end: one write for any reply under 64 KiB, while an
+/// endless goal still reaches the client every 64 KiB.
+constexpr size_t kReplyFlushBytes = 64 * 1024;
+
 }  // namespace
 
 /// One client connection, owned by exactly one handler thread — all
@@ -484,10 +498,21 @@ bool QueryServer::HandleQuery(Conn* conn, uint64_t id, std::string_view goal,
   }
   std::unique_ptr<Solutions> solutions = std::move(opened).value();
 
-  // Stream: one binding line per solution, written as it is found. A
-  // failed write means the client is gone — destroy the Solutions (which
-  // frees the session's machine mid-enumeration) and give the session
-  // back; nothing is buffered, nothing leaks.
+  // The reply is one write: binding lines collect in `reply` and go out
+  // with the done (or error) line, or as soon as `reply` reaches
+  // kReplyFlushBytes, so an endless goal still streams. A failed write
+  // means the client is gone — destroy the Solutions (which frees the
+  // session's machine mid-enumeration) and give the session back.
+  const std::string trace_field = TraceIdField(trace_id);
+  std::string reply;
+  auto flush = [&] {
+    if (SendAll(conn, reply)) {
+      reply.clear();
+      return true;
+    }
+    queries_aborted_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  };
   uint64_t seq = 0;
   bool more = false;
   while (true) {
@@ -498,33 +523,30 @@ bool QueryServer::HandleQuery(Conn* conn, uint64_t id, std::string_view goal,
     base::Result<bool> next = solutions->Next();
     if (!next.ok()) {
       queries_error_.fetch_add(1, std::memory_order_relaxed);
-      return SendError(conn, id, "query_error", next.status().ToString(),
-                       trace_id);
+      reply += ErrorLine(id, "query_error", next.status().ToString(),
+                         trace_id);
+      return flush();
     }
     if (!*next) break;
-    std::string bindings = "{";
+    reply += "{\"type\":\"binding\",\"id\":" + std::to_string(id) +
+             ",\"seq\":" + std::to_string(seq) + trace_field +
+             ",\"bindings\":{";
     bool first = true;
     for (const auto& [name, value] : solutions->All()) {
-      if (!first) bindings += ",";
+      if (!first) reply += ',';
       first = false;
-      bindings += JsonQuote(name) + ":" + JsonQuote(value);
+      reply += JsonQuote(name) + ":" + JsonQuote(value);
     }
-    bindings += "}";
-    if (!SendLine(conn, "{\"type\":\"binding\",\"id\":" + std::to_string(id) +
-                            ",\"seq\":" + std::to_string(seq) +
-                            TraceIdField(trace_id) +
-                            ",\"bindings\":" + bindings + "}")) {
-      queries_aborted_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+    reply += "}}\n";
     ++seq;
     bindings_sent_.fetch_add(1, std::memory_order_relaxed);
+    if (reply.size() >= kReplyFlushBytes && !flush()) return false;
   }
   queries_ok_.fetch_add(1, std::memory_order_relaxed);
-  return SendLine(conn, "{\"type\":\"done\",\"id\":" + std::to_string(id) +
-                            ",\"count\":" + std::to_string(seq) +
-                            ",\"more\":" + (more ? "true" : "false") +
-                            TraceIdField(trace_id) + "}");
+  reply += "{\"type\":\"done\",\"id\":" + std::to_string(id) +
+           ",\"count\":" + std::to_string(seq) +
+           ",\"more\":" + (more ? "true" : "false") + trace_field + "}\n";
+  return flush();
 }
 
 void QueryServer::CloseConn(Handler* handler, Conn* conn) {
@@ -541,6 +563,7 @@ void QueryServer::CloseConn(Handler* handler, Conn* conn) {
 }
 
 bool QueryServer::SendAll(Conn* conn, std::string_view bytes) {
+  writes_.fetch_add(1, std::memory_order_relaxed);
   size_t off = 0;
   while (off < bytes.size()) {
     const ssize_t n = ::send(conn->fd, bytes.data() + off, bytes.size() - off,
@@ -569,11 +592,7 @@ bool QueryServer::SendLine(Conn* conn, std::string line) {
 
 bool QueryServer::SendError(Conn* conn, uint64_t id, std::string_view code,
                             std::string_view message, uint64_t trace_id) {
-  return SendLine(conn, "{\"type\":\"error\",\"id\":" + std::to_string(id) +
-                            ",\"code\":" + JsonQuote(code) +
-                            ",\"message\":" + JsonQuote(message) +
-                            (trace_id != 0 ? TraceIdField(trace_id) : "") +
-                            "}");
+  return SendAll(conn, ErrorLine(id, code, message, trace_id));
 }
 
 QueryServer::Stats QueryServer::stats() const {
@@ -586,6 +605,7 @@ QueryServer::Stats QueryServer::stats() const {
   s.queries_error = queries_error_.load(std::memory_order_relaxed);
   s.queries_aborted = queries_aborted_.load(std::memory_order_relaxed);
   s.bindings_sent = bindings_sent_.load(std::memory_order_relaxed);
+  s.writes = writes_.load(std::memory_order_relaxed);
   s.asserts = asserts_.load(std::memory_order_relaxed);
   s.http_requests = http_requests_.load(std::memory_order_relaxed);
   return s;
@@ -602,6 +622,7 @@ std::string QueryServer::StatsJson() const {
                     ",\"queries_error\":" + num(s.queries_error) +
                     ",\"queries_aborted\":" + num(s.queries_aborted) +
                     ",\"bindings_sent\":" + num(s.bindings_sent) +
+                    ",\"writes\":" + num(s.writes) +
                     ",\"asserts\":" + num(s.asserts) +
                     ",\"http_requests\":" + num(s.http_requests);
   if (pool_ != nullptr) {

@@ -57,7 +57,8 @@ struct ServerOptions {
 /// Protocol — one JSON object per '\n'-terminated line, both ways:
 ///   -> {"op":"query","goal":"reach(a,X)","id":7,"limit":100}
 ///   <- {"type":"binding","id":7,"seq":0,"trace_id":"...","bindings":{"X":"b"}}
-///      (per solution, written as each is found — streamed, never buffered)
+///      (per solution; a query's reply is written once at its end, or
+///      once per 64 KiB of it, so an endless goal still streams)
 ///   <- {"type":"done","id":7,"count":12,"more":false,"trace_id":"..."}
 ///   <- {"type":"error","id":7,"code":"...","message":"...","trace_id":"..."}
 ///   -> {"op":"metrics"}   <- {"type":"metrics","data":{...}}
@@ -75,11 +76,13 @@ struct ServerOptions {
 ///
 /// Threading: an acceptor thread hands sockets round-robin to N handler
 /// threads; each handler multiplexes its connections with epoll and runs
-/// admitted queries synchronously, streaming bindings per Solutions::Next.
-/// A slow client therefore holds only its handler (bounded by
-/// write_timeout_ms), never the engine. Disconnect mid-stream surfaces as
-/// a failed send; the handler destroys the Solutions (freeing the
-/// session's machine) and returns the session to the pool.
+/// admitted queries synchronously, collecting a query's binding lines in
+/// a reply buffer local to the query and writing it with the done line,
+/// or whenever it reaches 64 KiB. A slow client therefore holds only its
+/// handler (bounded by write_timeout_ms), never the engine. Disconnect
+/// mid-stream surfaces as a failed write; the handler destroys the
+/// Solutions (freeing the session's machine) and returns the session to
+/// the pool.
 class QueryServer {
  public:
   /// `engine` must outlive the server and have all program/data setup
@@ -107,8 +110,11 @@ class QueryServer {
     uint64_t lines = 0;         // protocol lines parsed (ok or not)
     uint64_t queries_ok = 0;    // reached "done"
     uint64_t queries_error = 0; // any error line sent
-    uint64_t queries_aborted = 0;  // client gone mid-stream
-    uint64_t bindings_sent = 0;
+    // A reply write failed (client gone). The query's ok/error count,
+    // taken before its last write, stands.
+    uint64_t queries_aborted = 0;
+    uint64_t bindings_sent = 0;    // binding lines put in a reply
+    uint64_t writes = 0;           // buffers handed to SendAll
     uint64_t asserts = 0;       // "assert" ops durably stored
     uint64_t http_requests = 0;
   };
@@ -167,6 +173,7 @@ class QueryServer {
   std::atomic<uint64_t> queries_error_{0};
   std::atomic<uint64_t> queries_aborted_{0};
   std::atomic<uint64_t> bindings_sent_{0};
+  std::atomic<uint64_t> writes_{0};
   std::atomic<uint64_t> asserts_{0};
   std::atomic<uint64_t> http_requests_{0};
 };

@@ -253,11 +253,133 @@ TEST(ServerTest, AnswersPingAndFiniteQuery) {
   EXPECT_EQ(server.stats().queries_ok, 1u);
 }
 
+// A reply under 64 KiB leaves the server as one write: the binding
+// lines travel with their done line.
+TEST(ServerTest, WritesASmallReplyOnce) {
+  Engine engine;
+  ASSERT_TRUE(engine.DeclareRelation("item", 2).ok());
+  ASSERT_TRUE(engine.StoreFactsExternal(ItemFacts(10)).ok());
+  ServerOptions options;
+  options.pool_sessions = 1;
+  options.handler_threads = 1;
+  QueryServer server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  ASSERT_TRUE(client.SendLine(R"json({"op":"ping","id":1})json"));
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line));
+  const uint64_t writes_before = server.stats().writes;
+  EXPECT_GE(writes_before, 1u);  // the pong
+
+  ASSERT_TRUE(
+      client.SendLine(R"json({"op":"query","goal":"item(X, Y)","id":2})json"));
+  int bindings = 0;
+  while (true) {
+    ASSERT_TRUE(client.ReadLine(&line));
+    const JsonValue doc = MustParse(line);
+    if (doc.GetString("type") != "binding") {
+      ASSERT_EQ(doc.GetString("type"), "done") << line;
+      EXPECT_EQ(doc.GetUint("count"), 10u);
+      break;
+    }
+    ++bindings;
+  }
+  EXPECT_EQ(bindings, 10);
+  EXPECT_EQ(server.stats().writes, writes_before + 1);
+  EXPECT_NE(server.StatsJson().find("\"writes\":" +
+                                    std::to_string(writes_before + 1)),
+            std::string::npos);
+  server.Stop();
+}
+
+// A reply over 64 KiB goes out in several writes, with every line in
+// order and none lost at a write boundary.
+TEST(ServerTest, LargeReplySpansSeveralWritesInOrder) {
+  constexpr uint64_t kRows = 3000;  // ~100 bytes a line: ~300 KB
+  Engine engine;
+  ASSERT_TRUE(engine.DeclareRelation("item", 2).ok());
+  ASSERT_TRUE(engine.StoreFactsExternal(ItemFacts(kRows)).ok());
+  ServerOptions options;
+  options.pool_sessions = 1;
+  options.handler_threads = 1;
+  QueryServer server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  const uint64_t writes_before = server.stats().writes;
+  ASSERT_TRUE(
+      client.SendLine(R"json({"op":"query","goal":"item(X, Y)","id":5})json"));
+  uint64_t seq = 0;
+  std::string line;
+  while (true) {
+    ASSERT_TRUE(client.ReadLine(&line));
+    const JsonValue doc = MustParse(line);
+    if (doc.GetString("type") != "binding") {
+      ASSERT_EQ(doc.GetString("type"), "done") << line;
+      EXPECT_EQ(doc.GetUint("count"), kRows);
+      break;
+    }
+    ASSERT_EQ(doc.GetUint("seq"), seq) << line;
+    EXPECT_EQ(doc.GetUint("id"), 5u);
+    ++seq;
+  }
+  EXPECT_EQ(seq, kRows);
+  const QueryServer::Stats stats = server.stats();
+  EXPECT_GE(stats.writes, writes_before + 2);
+  EXPECT_EQ(stats.bindings_sent, kRows);
+  EXPECT_EQ(stats.queries_ok, 1u);
+  server.Stop();
+}
+
+// Bindings found before Next() fails reach the client ahead of the
+// error line, in the same write, and the connection stays usable.
+TEST(ServerTest, MidStreamErrorFollowsTheBindingsBeforeIt) {
+  Engine engine;
+  ASSERT_TRUE(engine.Consult("q(1). q(2). q(3). q(a).").ok());
+  ServerOptions options;
+  options.pool_sessions = 1;
+  options.handler_threads = 1;
+  QueryServer server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  const uint64_t writes_before = server.stats().writes;
+  const uint64_t errors_before = server.stats().queries_error;
+  ASSERT_TRUE(client.SendLine(
+      R"json({"op":"query","goal":"q(X), Y is X + 1","id":8})json"));
+  std::string line;
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.ReadLine(&line));
+    const JsonValue doc = MustParse(line);
+    ASSERT_EQ(doc.GetString("type"), "binding") << line;
+    EXPECT_EQ(doc.GetUint("seq"), i);
+    const JsonValue* b = doc.Find("bindings");
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b->GetString("Y"), std::to_string(i + 2));
+  }
+  ASSERT_TRUE(client.ReadLine(&line));
+  const JsonValue error = MustParse(line);
+  EXPECT_EQ(error.GetString("type"), "error") << line;
+  EXPECT_EQ(error.GetString("code"), "query_error");
+  EXPECT_EQ(error.GetUint("id"), 8u);
+  EXPECT_EQ(server.stats().queries_error, errors_before + 1);
+  EXPECT_EQ(server.stats().writes, writes_before + 1);
+
+  ASSERT_TRUE(client.SendLine(R"json({"op":"ping","id":9})json"));
+  ASSERT_TRUE(client.ReadLine(&line));
+  EXPECT_EQ(MustParse(line).GetString("type"), "pong");
+  server.Stop();
+}
+
 TEST(ServerTest, StreamsBindingsWhileEnumerationStillRunning) {
   // nat/1 enumerates 0,1,2,... forever; the query never completes. Any
-  // binding the client receives therefore *proves* the server pushes
-  // solutions per Solutions::Next instead of buffering the result set —
-  // a buffering server would never write a byte.
+  // binding the client receives therefore *proves* the server writes a
+  // reply per 64 KiB of it instead of buffering the whole result set —
+  // a server that waited for the done line would never write a byte.
   Engine engine;
   ASSERT_TRUE(engine.Consult("nat(0). nat(X) :- nat(Y), X is Y + 1.").ok());
   ServerOptions options;
