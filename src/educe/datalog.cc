@@ -1,8 +1,10 @@
 #include "educe/datalog.h"
 
+#include <limits>
 #include <optional>
 #include <tuple>
-#include <unordered_map>
+
+#include "base/stopwatch.h"
 
 namespace educe {
 
@@ -58,8 +60,18 @@ bool IsUnsupported(const base::Status& status) {
 
 }  // namespace
 
+const term::AstPtr& AnswerConstants::Ast(uint32_t id) const {
+  Constant& constant = constants_[id];
+  if (constant.ast == nullptr) {
+    constant.ast = DecodeConstant(constant.value);
+    if (decoded_ != nullptr) decoded_->fetch_add(1, std::memory_order_relaxed);
+  }
+  return constant.ast;
+}
+
 struct DatalogManager::Plan {
-  rdl::Program program;
+  /// The IR, compiled once: every evaluation of the plan runs it.
+  rdl::CompiledProgram compiled;
   uint32_t query_pred = 0;
   uint32_t seed_pred = rdl::kNoPred;
   /// Goal argument positions feeding the magic seed tuple, ascending.
@@ -149,7 +161,9 @@ DatalogStrategy DatalogManager::GetStrategy(std::string_view name,
 
 DatalogStats DatalogManager::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  DatalogStats stats = stats_;
+  stats.constants_decoded = constants_decoded_.load(std::memory_order_relaxed);
+  return stats;
 }
 
 uint64_t DatalogManager::EdbCacheBytes() const {
@@ -219,6 +233,7 @@ base::Result<std::shared_ptr<DatalogManager::Plan>> DatalogManager::Compile(
     const term::Ast& goal) {
   (void)goal;
   auto plan = std::make_shared<Plan>();
+  rdl::Program program;
   {
     std::lock_guard<std::mutex> lock(mu_);
     plan->epoch = epoch_;
@@ -229,7 +244,7 @@ base::Result<std::shared_ptr<DatalogManager::Plan>> DatalogManager::Compile(
   auto intern_pred = [&](const PredKey& key) {
     auto it = pred_ids.find(key);
     if (it != pred_ids.end()) return it->second;
-    uint32_t id = plan->program.AddPred(
+    uint32_t id = program.AddPred(
         key.first + "/" + std::to_string(key.second), key.second,
         /*edb=*/false);
     pred_ids.emplace(key, id);
@@ -317,7 +332,7 @@ base::Result<std::shared_ptr<DatalogManager::Plan>> DatalogManager::Compile(
             "datalog: " + key.first +
             " stores rules with no catalog source (prior-session image)");
       }
-      plan->program.preds[id].edb = true;
+      program.preds[id].edb = true;
       plan->edb_sources.emplace(id, key);
       continue;
     }
@@ -339,16 +354,19 @@ base::Result<std::shared_ptr<DatalogManager::Plan>> DatalogManager::Compile(
       if (body != nullptr) {
         EDUCE_RETURN_IF_ERROR(add_goal(*body, false, &rule));
       }
-      plan->program.rules.push_back(std::move(rule));
+      program.rules.push_back(std::move(rule));
     }
   }
 
-  base::Status valid = rdl::Validate(plan->program);
+  // Eligibility is decided on the program as written: a magic rewrite
+  // adds guards that could make an out-of-range rule look range-
+  // restricted.
+  base::Status valid = rdl::Validate(program);
   if (!valid.ok()) {
     return base::Status::Unsupported(valid.message());
   }
   {
-    base::Result<std::vector<uint32_t>> strata = rdl::Stratify(plan->program);
+    base::Result<std::vector<uint32_t>> strata = rdl::Stratify(program);
     if (!strata.ok()) {
       return base::Status::Unsupported(strata.status().message());
     }
@@ -358,9 +376,9 @@ base::Result<std::shared_ptr<DatalogManager::Plan>> DatalogManager::Compile(
   // that is the regime where tuple-at-a-time SLD re-derives (DESIGN.md
   // §15). Plain reachability over head -> positive-or-negated body edges.
   {
-    const size_t n = plan->program.preds.size();
+    const size_t n = program.preds.size();
     std::vector<std::vector<uint32_t>> adj(n);
-    for (const rdl::Rule& rule : plan->program.rules) {
+    for (const rdl::Rule& rule : program.rules) {
       for (const rdl::Atom& atom : rule.body) {
         adj[rule.head.pred].push_back(atom.pred);
       }
@@ -392,20 +410,20 @@ base::Result<std::shared_ptr<DatalogManager::Plan>> DatalogManager::Compile(
       }
     }
     base::Result<rdl::MagicProgram> magic =
-        rdl::MagicRewrite(plan->program, query_id, bound);
+        rdl::MagicRewrite(program, query_id, bound);
     if (magic.ok() && magic->seed_pred != rdl::kNoPred) {
-      plan->program = std::move(magic->program);
+      program = std::move(magic->program);
       plan->query_pred = magic->query_pred;
       plan->seed_pred = magic->seed_pred;
       // The rewrite re-ids every predicate; re-key the EDB sources.
       std::map<uint32_t, PredKey> rewritten;
-      for (uint32_t p = 0; p < plan->program.preds.size(); ++p) {
-        if (!plan->program.preds[p].edb ||
+      for (uint32_t p = 0; p < program.preds.size(); ++p) {
+        if (!program.preds[p].edb ||
             p == plan->seed_pred) {
           continue;
         }
         // EDB preds keep their catalog name through the rewrite.
-        const std::string& pname = plan->program.preds[p].name;
+        const std::string& pname = program.preds[p].name;
         auto slash = pname.rfind('/');
         PredKey key{pname.substr(0, slash),
                     static_cast<uint32_t>(
@@ -420,12 +438,19 @@ base::Result<std::shared_ptr<DatalogManager::Plan>> DatalogManager::Compile(
       plan->seed_positions.clear();
     }
   }
+  base::Result<rdl::CompiledProgram> compiled =
+      rdl::CompiledProgram::Compile(std::move(program));
+  if (!compiled.ok()) {
+    return base::Status::Unsupported(compiled.status().message());
+  }
+  plan->compiled = std::move(*compiled);
   return plan;
 }
 
 base::Result<DatalogManager::Answer> DatalogManager::TryQuery(
     const reader::ReadTerm& read) {
   Answer answer;
+  answer.constants = AnswerConstants(&constants_decoded_);
   auto fallback = [&]() -> base::Result<Answer> {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.queries_fallback;
@@ -481,7 +506,7 @@ base::Result<DatalogManager::Answer> DatalogManager::TryQuery(
   // Evaluate on the evaluator's own arenas; the only shared state
   // touched is the EDB cache (whose relations the evaluation borrows and
   // may index) and, on a miss, the clause store's latched bulk scan.
-  rdl::Evaluator eval(&plan->program, rdl::EvalOptions{});
+  rdl::Evaluator eval(&plan->compiled, rdl::EvalOptions{});
   uint64_t store_rows = 0;
   base::Status eval_status;
   {
@@ -548,46 +573,55 @@ base::Result<DatalogManager::Answer> DatalogManager::TryQuery(
     return true;
   };
 
+  const base::Stopwatch answer_watch;
+  const rdl::RowSet& rows = *eval.Rows(plan->query_pred);
   answer.handled = true;
   answer.width = static_cast<uint32_t>(out_cols.size());
+  const bool filtered = !const_cols.empty() || !eq_cols.empty();
   if (out_cols.empty()) {
     // No named variables: a bare yes (one empty row) iff any tuple
     // survives the filters.
-    eval.Visit(plan->query_pred, [&](const int64_t* row) {
-      if (matches(row)) answer.count = 1;
-      return answer.count == 0;
-    });
+    for (uint64_t r = 0; r < rows.size() && answer.count == 0; ++r) {
+      if (matches(rows.RowAt(r))) answer.count = 1;
+    }
   } else {
     // The query relation holds each tuple once, and surviving rows agree
     // on the constant and repeated columns, so the projection keeps them
     // distinct unless it drops the column of a variable no name covers
     // (an `_`): only then does it need a set to stay duplicate-free.
     std::optional<rdl::RowSet> seen;
-    if (out_cols.size() < var_first.size()) {
-      seen.emplace(answer.width);
-    } else if (const_cols.empty() && eq_cols.empty()) {
-      // Every tuple is an answer: the size is known up front.
-      answer.cells.reserve(eval.TupleCount(plan->query_pred) * answer.width);
+    if (out_cols.size() < var_first.size()) seen.emplace(answer.width);
+    // Room for every surviving row: one pass of the filters sizes it.
+    uint64_t survivors = rows.size();
+    if (filtered) {
+      survivors = 0;
+      for (uint64_t r = 0; r < rows.size(); ++r) {
+        survivors += matches(rows.RowAt(r)) ? 1 : 0;
+      }
     }
+    answer.cells.reserve(survivors * answer.width);
+    // A cell is the id of its constant in the answer's table; nothing
+    // decodes here.
     std::vector<int64_t> projected(out_cols.size());
-    // Decode each distinct constant once; answers repeat the same node
-    // ids many times and the ASTs are immutable, so sharing is safe.
-    std::unordered_map<int64_t, term::AstPtr> decoded;
-    eval.Visit(plan->query_pred, [&](const int64_t* row) {
-      if (!matches(row)) return true;
+    for (uint64_t r = 0; r < rows.size(); ++r) {
+      const int64_t* row = rows.RowAt(r);
+      if (filtered && !matches(row)) continue;
       for (size_t i = 0; i < out_cols.size(); ++i) {
         projected[i] = row[out_cols[i]];
       }
-      if (seen && !seen->Insert(projected.data())) return true;
+      if (seen && !seen->Insert(projected.data())) continue;
       for (int64_t value : projected) {
-        auto [it, fresh] = decoded.try_emplace(value);
-        if (fresh) it->second = DecodeConstant(value);
-        answer.cells.push_back(it->second);
+        const uint64_t id = answer.constants.Intern(value);
+        if (id > std::numeric_limits<uint32_t>::max()) {
+          return base::Status::ResourceExhausted(
+              "datalog: more than 2^32 distinct constants in one answer");
+        }
+        answer.cells.push_back(static_cast<uint32_t>(id));
       }
       ++answer.count;
-      return true;
-    });
+    }
   }
+  const uint64_t answer_ns = answer_watch.ElapsedNanos();
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -601,6 +635,9 @@ base::Result<DatalogManager::Answer> DatalogManager::TryQuery(
     stats_.index_builds += es.index_builds;
     stats_.dedup_hits += es.dedup_hits;
     stats_.edb_rows += store_rows;
+    stats_.join_ns += es.join_ns;
+    stats_.flush_ns += es.flush_ns;
+    stats_.answer_ns += answer_ns;
     stats_.last_delta_sizes = es.delta_sizes;
     stats_.last_per_stratum_tuples = es.per_stratum_tuples;
   }
@@ -625,8 +662,10 @@ std::string DatalogManager::Describe(std::string_view name, uint32_t arity) {
   }
   out += " eligible=yes recursive=";
   out += (*plan)->recursive ? "yes" : "no";
-  out += " preds=" + std::to_string((*plan)->program.preds.size());
-  out += " rules=" + std::to_string((*plan)->program.rules.size());
+  out += " preds=" +
+         std::to_string((*plan)->compiled.program().preds.size());
+  out += " rules=" +
+         std::to_string((*plan)->compiled.program().rules.size());
   const char* effective =
       strategy == DatalogStrategy::kWam
           ? "wam"

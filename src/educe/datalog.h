@@ -1,6 +1,7 @@
 #ifndef EDUCE_EDUCE_DATALOG_H_
 #define EDUCE_EDUCE_DATALOG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -48,29 +49,74 @@ struct DatalogStats {
   /// EDB rows read from the clause store to fill the EDB cache; a query
   /// served from warm cache entries reads 0.
   uint64_t edb_rows = 0;
+  /// Wall time of the evaluations' joins and of their delta flushes
+  /// (rel::datalog::EvalStats::join_ns, flush_ns), and of projecting
+  /// the query relation into answers.
+  uint64_t join_ns = 0;
+  uint64_t flush_ns = 0;
+  uint64_t answer_ns = 0;
+  /// Answer constants decoded to ASTs: each distinct constant of an
+  /// answer decodes once, on its first read, so an answer whose
+  /// bindings are never read decodes none.
+  uint64_t constants_decoded = 0;
   /// Per-round new-tuple counts of the most recent evaluation.
   std::vector<uint64_t> last_delta_sizes;
   /// Tuples derived per stratum in the most recent evaluation.
   std::vector<uint64_t> last_per_stratum_tuples;
 };
 
+/// The distinct constants of one bottom-up answer (DESIGN.md §15.2).
+/// The answer's cells hold ids into this table; it keeps each constant
+/// in its encoded int64 form and decodes it to an AST on its first read,
+/// at most once per answer, so every later read of it is one indexed
+/// load and one AstPtr copy. Like the Solutions that carries it, it is
+/// read by one thread at a time.
+class AnswerConstants {
+ public:
+  /// Adds one to `*decoded` (when not null) per constant decoded.
+  explicit AnswerConstants(std::atomic<uint64_t>* decoded = nullptr)
+      : decoded_(decoded) {}
+
+  /// The id of `value` (an encoded constant), adding it when new.
+  uint64_t Intern(int64_t value) {
+    const uint64_t id = ids_.Intern(value);
+    if (id == constants_.size()) constants_.push_back(Constant{value, {}});
+    return id;
+  }
+
+  /// The AST of constant `id`, decoded on first use.
+  const term::AstPtr& Ast(uint32_t id) const;
+
+ private:
+  struct Constant {
+    int64_t value;
+    term::AstPtr ast;  // null until first read
+  };
+
+  rel::datalog::ValueIds ids_;
+  mutable std::vector<Constant> constants_;  // by id
+  std::atomic<uint64_t>* decoded_;
+};
+
 /// Bridge between the term world and the int64 Datalog IR (DESIGN.md §15):
 /// keeps an AST catalog of every consulted / externally stored rule,
 /// decides per-procedure eligibility, compiles (predicate, adornment)
-/// pairs to rel::datalog programs with magic-set rewriting, caches the
-/// plans with push invalidation off the clause store's mutation
-/// listeners, and runs queries through rel::datalog::Evaluator. EDB
+/// pairs to rel::datalog programs with magic-set rewriting, caches each
+/// plan with its rel::datalog::CompiledProgram under push invalidation
+/// off the clause store's mutation listeners, and answers a query by
+/// running the cached program in a fresh rel::datalog::Evaluator. EDB
 /// relations come from an EDB cache: one shared rel::datalog::Relation
 /// per relation (deduplicated rows plus column indexes built on first
 /// probe), filled by one ClauseStore::ScanAllFacts and borrowed by every
 /// evaluation while the procedure's version still matches.
 ///
-/// Thread safety: all public methods latch an internal mutex; each
-/// evaluation owns its IDB arenas, cache entries' rows are immutable once
-/// published (their column indexes build under per-column once flags,
-/// outside the mutex), and the bulk fact scan takes the clause store's
-/// read latch, so concurrent sessions may answer bottom-up queries in
-/// parallel.
+/// Thread safety: all public methods latch an internal mutex; plans and
+/// their compiled programs are shared read-only; each evaluation owns
+/// its registers, row ranges and IDB arenas; cache entries' rows are
+/// immutable once published (their column indexes build under
+/// per-column once flags, outside the mutex), and the bulk fact scan
+/// takes the clause store's read latch, so concurrent sessions may
+/// answer bottom-up queries in parallel.
 class DatalogManager {
  public:
   DatalogManager(dict::Dictionary* dictionary, edb::ClauseStore* store,
@@ -98,8 +144,9 @@ class DatalogManager {
     /// The solutions, each once (set semantics), in the order the query
     /// relation first derived them, which is deterministic. Row-major:
     /// solution r binds the i-th variable of `read.var_names` to
-    /// cells[r * width + i].
-    std::vector<term::AstPtr> cells;
+    /// constant cells[r * width + i] of `constants`.
+    std::vector<uint32_t> cells;
+    AnswerConstants constants;
     uint32_t width = 0;  // named variables per solution
     uint64_t count = 0;  // solutions; with width 0, 1 means "true"
   };
@@ -161,6 +208,9 @@ class DatalogManager {
   std::map<PlanKey, std::shared_ptr<Plan>> plans_;
   std::map<PredKey, std::shared_ptr<const EdbEntry>> edb_cache_;
   DatalogStats stats_;
+  /// DatalogStats::constants_decoded: answers decode after TryQuery
+  /// returns, outside mu_.
+  std::atomic<uint64_t> constants_decoded_{0};
 };
 
 }  // namespace educe

@@ -1334,6 +1334,10 @@ std::string Engine::ExportMetricsJson() {
   out += ",\"index_builds\":" + num(stats.datalog.index_builds);
   out += ",\"dedup_hits\":" + num(stats.datalog.dedup_hits);
   out += ",\"edb_rows\":" + num(stats.datalog.edb_rows);
+  out += ",\"join_ns\":" + num(stats.datalog.join_ns);
+  out += ",\"flush_ns\":" + num(stats.datalog.flush_ns);
+  out += ",\"answer_ns\":" + num(stats.datalog.answer_ns);
+  out += ",\"constants_decoded\":" + num(stats.datalog.constants_decoded);
   out += ",\"bulk_fact_scans\":" + num(stats.clause_store.bulk_fact_scans);
   out += ",\"bulk_fact_rows\":" + num(stats.clause_store.bulk_fact_rows);
   out += ",\"last_delta_sizes\":[";
@@ -1404,7 +1408,7 @@ term::AstPtr Solutions::MaterializedCell(size_t position) const {
   if (row_cursor_ == 0 || row_cursor_ > row_count_ || position >= width_) {
     return nullptr;
   }
-  return cells_[(row_cursor_ - 1) * width_ + position];
+  return constants_.Ast(cells_[(row_cursor_ - 1) * width_ + position]);
 }
 
 term::AstPtr Solutions::BindingAst(std::string_view name) const {

@@ -197,6 +197,7 @@ class Solutions {
         dictionary_(dictionary),
         read_(std::move(read)),
         cells_(std::move(answer.cells)),
+        constants_(std::move(answer.constants)),
         width_(answer.width),
         row_count_(answer.count) {}
 
@@ -218,9 +219,11 @@ class Solutions {
   /// re-installs it as the thread's current trace id for each pump.
   uint64_t trace_id_ = 0;
   /// Materialized mode only: precomputed solutions, row-major with
-  /// width_ cells a row, and the cursor (index one past the current row;
-  /// 0 = before the first Next()).
-  std::vector<term::AstPtr> cells_;
+  /// width_ cells a row, each cell the id of its constant in constants_
+  /// (decoded on first read); and the cursor (index one past the current
+  /// row; 0 = before the first Next()).
+  std::vector<uint32_t> cells_;
+  AnswerConstants constants_;
   uint32_t width_ = 0;
   uint64_t row_count_ = 0;
   uint64_t row_cursor_ = 0;

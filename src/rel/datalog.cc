@@ -1,10 +1,13 @@
 #include "rel/datalog.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <mutex>
 #include <set>
 #include <utility>
+
+#include "base/stopwatch.h"
 
 namespace educe::rel::datalog {
 
@@ -344,7 +347,7 @@ uint64_t HashRow(const int64_t* row, uint32_t width) {
 
 }  // namespace
 
-RowSet::RowSet(uint32_t width) : width_(width), slots_(16, kNotFound) {}
+RowSet::RowSet(uint32_t width) : width_(width) {}
 
 uint64_t RowSet::FindSlot(const int64_t* row) const {
   const uint64_t mask = slots_.size() - 1;
@@ -355,7 +358,10 @@ uint64_t RowSet::FindSlot(const int64_t* row) const {
 }
 
 void RowSet::Grow() {
-  slots_.assign(slots_.size() * 2, kNotFound);
+  // The first insert sizes the arena for the rows the first table holds,
+  // so a small relation grows it once.
+  if (slots_.empty()) arena_.reserve(8 * width_);
+  slots_.assign(std::max<size_t>(16, slots_.size() * 2), kNotFound);
   const uint64_t mask = slots_.size() - 1;
   for (uint64_t id = 0; id < count_; ++id) {
     uint64_t s = HashRow(RowAt(id), width_) & mask;
@@ -380,14 +386,29 @@ uint64_t RowSet::MemoryBytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// ColumnIndex, Relation
+// ValueIds, ColumnIndex, Relation
+
+uint64_t ValueIds::Intern(int64_t value) {
+  // A load factor of at most 1/2 keeps linear-probe runs short.
+  if ((count_ + 1) * 2 > slots_.size()) Grow();
+  Slot& slot = slots_[SlotOf(value)];
+  if (slot.id == kNotFound) slot = Slot{value, count_++};
+  return slot.id;
+}
+
+void ValueIds::Grow() {
+  std::vector<Slot> old(std::max<size_t>(16, slots_.size() * 2));
+  old.swap(slots_);
+  shift_ = 64 - static_cast<uint32_t>(std::countr_zero(slots_.size()));
+  for (const Slot& slot : old) {
+    if (slot.id != kNotFound) slots_[SlotOf(slot.value)] = slot;
+  }
+}
 
 void ColumnIndex::Extend(const RowSet& rows, uint64_t end) {
   for (uint64_t r = next_.size(); r < end; ++r) {
-    const int64_t* key = rows.RowAt(r) + column_;
-    const uint64_t k = keys_.Find(key);
-    if (k == RowSet::kNotFound) {
-      keys_.Insert(key);
+    const uint64_t k = keys_.Intern(rows.RowAt(r)[column_]);
+    if (k == head_.size()) {
       head_.push_back(r);
       tail_.push_back(r);
     } else {
@@ -448,85 +469,14 @@ uint64_t Relation::MemoryBytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// Evaluator
+// CompiledProgram
 
-// Rows [0, total_end) are the total as of the last flush and
-// [delta_begin, total_end) the rows that flush added; rows past
-// total_end are this round's derivations, which no join reads yet. A
-// borrowed EDB relation is complete before the first round: its total is
-// every row, and it never leads a rule variant as a delta.
-struct Evaluator::Rel {
-  std::shared_ptr<const Relation> relation;  // what joins read
-  Relation* own = nullptr;  // IDB only: the same relation, writable
-  uint64_t total_end = 0;
-  uint64_t delta_begin = 0;
-};
-
-// A positive body literal: a scan of a row range, or a hash-index probe
-// on a constant or an earlier-bound variable; then the bindings of its
-// new variables and the checks of its other columns.
-struct Evaluator::Step {
-  const RowSet* rows = nullptr;
-  uint64_t begin = 0, end = 0;  // scanned range when `index` is null
-  const ColumnIndex* index = nullptr;
-  Term key;
-  std::vector<std::pair<uint32_t, uint32_t>> binds;  // var := row[col]
-  std::vector<std::pair<uint32_t, Term>> checks;     // row[col] == term
-};
-
-struct Evaluator::RuleJoin {
-  const Rule* rule = nullptr;
-  Rel* head = nullptr;
-  std::vector<Step> steps;
-  std::vector<const Atom*> negatives;
-  std::vector<int64_t> vars;  // current value of each rule variable
-  std::vector<int64_t> row;   // head / negated-literal probe buffer
-  uint64_t* derived = nullptr;
-
-  int64_t Value(const Term& t) const { return t.is_var ? vars[t.var] : t.value; }
-};
-
-Evaluator::Evaluator(const Program* program, EvalOptions options)
-    : program_(program), options_(options) {}
-
-Evaluator::~Evaluator() = default;
-
-base::Status Evaluator::SetUpRelations(const EdbLoader& loader) {
-  rels_.reserve(program_->preds.size());
-  for (uint32_t p = 0; p < program_->preds.size(); ++p) {
-    const Predicate& pred = program_->preds[p];
-    Rel* rel = rels_.emplace_back(std::make_unique<Rel>()).get();
-    if (!pred.edb) {
-      auto own = std::make_shared<Relation>(pred.arity);
-      rel->own = own.get();
-      rel->relation = std::move(own);
-      continue;
-    }
-    EDUCE_ASSIGN_OR_RETURN(rel->relation, loader(p));
-    if (rel->relation == nullptr || rel->relation->arity() != pred.arity) {
-      return base::Status::InvalidArgument(
-          "datalog: loader gave no relation of arity " +
-          std::to_string(pred.arity) + " for " + PredName(*program_, p));
-    }
-    rel->total_end = rel->relation->size();
-    stats_.edb_rows += rel->total_end;
-  }
-  return base::Status::OK();
-}
-
-const ColumnIndex* Evaluator::IndexOn(Rel* rel, uint32_t column) {
-  bool built = false;
-  const ColumnIndex* index =
-      rel->relation->Index(column, rel->total_end, &built);
-  if (built) ++stats_.index_builds;
-  return index;
-}
-
-void Evaluator::EvalRule(const Rule& rule, int delta_pos, uint64_t* derived) {
-  RuleJoin join;
-  join.rule = &rule;
-  join.head = rels_[rule.head.pred].get();
-  join.derived = derived;
+CompiledProgram::Variant CompiledProgram::CompileVariant(const Rule& rule,
+                                                         int delta_pos,
+                                                         uint32_t* next_slot) {
+  Variant variant;
+  variant.head_pred = rule.head.pred;
+  variant.head_args = rule.head.args;
   uint32_t num_vars = 0;
   auto count_vars = [&](const Atom& atom) {
     for (const Term& t : atom.args) {
@@ -538,19 +488,14 @@ void Evaluator::EvalRule(const Rule& rule, int delta_pos, uint64_t* derived) {
   for (size_t i = 0; i < rule.body.size(); ++i) {
     count_vars(rule.body[i]);
     if (rule.body[i].negated) {
-      join.negatives.push_back(&rule.body[i]);
+      variant.negatives.push_back(rule.body[i]);
     } else {
       positives.push_back(i);
     }
   }
-  join.vars.assign(num_vars, 0);
-
-  if (positives.empty()) {
-    // Fact rule (or purely negative body, which range restriction limits
-    // to ground literals): one virtual match, no scan.
-    EmitHead(&join);
-    return;
-  }
+  // A fact rule, or a purely negative body (which range restriction
+  // limits to ground literals): no steps, one virtual match.
+  if (positives.empty()) return variant;
 
   // Join order: the delta literal leads its variant; after that, greedily
   // chain literals sharing a bound variable, falling back to a cross
@@ -581,30 +526,24 @@ void Evaluator::EvalRule(const Rule& rule, int delta_pos, uint64_t* derived) {
   std::vector<bool> bound(num_vars, false);
   for (size_t body_idx : order) {
     const Atom& atom = rule.body[body_idx];
-    Rel* rel = rels_[atom.pred].get();
-    const bool is_delta =
-        delta_pos >= 0 && body_idx == static_cast<size_t>(delta_pos);
-    Step step;
-    step.rows = &rel->relation->rows();
-    step.begin = is_delta ? rel->delta_begin : 0;
-    step.end = rel->total_end;
-    if (step.begin == step.end) return;  // an empty input: no matches
+    Step& step = variant.steps.emplace_back();
+    step.pred = atom.pred;
+    step.delta = delta_pos >= 0 && body_idx == static_cast<size_t>(delta_pos);
+    step.slot = (*next_slot)++;
     // The delta is scanned; any other literal probes the index of its
     // first column whose value is known before the literal is reached.
-    int probe_column = -1;
-    if (!is_delta) {
+    if (!step.delta) {
       for (uint32_t col = 0; col < atom.args.size(); ++col) {
         const Term& t = atom.args[col];
         if (!t.is_var || bound[t.var]) {
-          probe_column = static_cast<int>(col);
-          step.index = IndexOn(rel, col);
+          step.probe_column = col;
           step.key = t;
           break;
         }
       }
     }
     for (uint32_t col = 0; col < atom.args.size(); ++col) {
-      if (static_cast<int>(col) == probe_column) continue;
+      if (col == step.probe_column) continue;
       const Term& t = atom.args[col];
       if (t.is_var && !bound[t.var]) {
         bound[t.var] = true;
@@ -613,58 +552,193 @@ void Evaluator::EvalRule(const Rule& rule, int delta_pos, uint64_t* derived) {
         step.checks.emplace_back(col, t);
       }
     }
-    join.steps.push_back(std::move(step));
   }
-  Join(&join, 0);
+  return variant;
 }
 
-void Evaluator::Join(RuleJoin* join, size_t k) {
-  if (k == join->steps.size()) {
+base::Result<CompiledProgram> CompiledProgram::Compile(Program program) {
+  EDUCE_RETURN_IF_ERROR(Validate(program));
+  EDUCE_ASSIGN_OR_RETURN(std::vector<uint32_t> strata, Stratify(program));
+
+  CompiledProgram out;
+  out.program_ = std::move(program);
+  const Program& p = out.program_;
+  for (const Rule& rule : p.rules) {
+    auto widen = [&](const Atom& atom) {
+      out.row_width_ = std::max(out.row_width_,
+                                static_cast<uint32_t>(atom.args.size()));
+      for (const Term& t : atom.args) {
+        if (t.is_var) out.num_vars_ = std::max(out.num_vars_, t.var + 1);
+      }
+    };
+    widen(rule.head);
+    for (const Atom& atom : rule.body) widen(atom);
+  }
+
+  // Group rules by head stratum; strata run in dependency order.
+  std::map<uint32_t, std::vector<uint32_t>> by_stratum;
+  for (uint32_t r = 0; r < p.rules.size(); ++r) {
+    by_stratum[strata[p.rules[r].head.pred]].push_back(r);
+  }
+  auto add = [&](uint32_t r, int delta_pos) {
+    out.variants_.push_back(
+        CompileVariant(p.rules[r], delta_pos, &out.num_slots_));
+    return static_cast<uint32_t>(out.variants_.size() - 1);
+  };
+  for (const auto& [stratum, rule_ids] : by_stratum) {
+    Stratum& unit = out.strata_.emplace_back();
+    std::set<uint32_t> members;
+    for (uint32_t r : rule_ids) {
+      members.insert(p.rules[r].head.pred);
+      unit.base.push_back(add(r, -1));
+    }
+    unit.members.assign(members.begin(), members.end());
+    // A rule reads the delta through each same-stratum positive literal.
+    // Rules with none are non-recursive within this stratum and fire only
+    // in round 0: their lower-stratum inputs are already complete.
+    for (uint32_t r : rule_ids) {
+      const Rule& rule = p.rules[r];
+      for (size_t i = 0; i < rule.body.size(); ++i) {
+        if (!rule.body[i].negated && strata[rule.body[i].pred] == stratum) {
+          unit.deltas.push_back(add(r, static_cast<int>(i)));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Evaluator
+
+// Rows [0, total_end) are the total as of the last flush and
+// [delta_begin, total_end) the rows that flush added; rows past
+// total_end are this round's derivations, which no join reads yet. A
+// borrowed EDB relation is complete before the first round: its total is
+// every row, and it never leads a rule variant as a delta.
+struct Evaluator::Rel {
+  std::shared_ptr<const Relation> relation;  // what joins read
+  Relation* own = nullptr;  // IDB only: the same relation, writable
+  uint64_t total_end = 0;
+  uint64_t delta_begin = 0;
+};
+
+namespace {
+
+inline int64_t ValueOf(const Term& t, const std::vector<int64_t>& vars) {
+  return t.is_var ? vars[t.var] : t.value;
+}
+
+}  // namespace
+
+Evaluator::Evaluator(const CompiledProgram* program, EvalOptions options)
+    : program_(program), options_(options) {}
+
+Evaluator::~Evaluator() = default;
+
+base::Status Evaluator::SetUpRelations(const EdbLoader& loader) {
+  const Program& program = program_->program();
+  rels_.reserve(program.preds.size());
+  for (uint32_t p = 0; p < program.preds.size(); ++p) {
+    const Predicate& pred = program.preds[p];
+    Rel& rel = rels_.emplace_back();
+    if (!pred.edb) {
+      auto own = std::make_shared<Relation>(pred.arity);
+      rel.own = own.get();
+      rel.relation = std::move(own);
+      continue;
+    }
+    EDUCE_ASSIGN_OR_RETURN(rel.relation, loader(p));
+    if (rel.relation == nullptr || rel.relation->arity() != pred.arity) {
+      return base::Status::InvalidArgument(
+          "datalog: loader gave no relation of arity " +
+          std::to_string(pred.arity) + " for " + PredName(program, p));
+    }
+    rel.total_end = rel.relation->size();
+    stats_.edb_rows += rel.total_end;
+  }
+  return base::Status::OK();
+}
+
+void Evaluator::RunVariants(const std::vector<uint32_t>& ids) {
+  for (uint32_t id : ids) {
+    const Variant& variant = program_->variants_[id];
+    // An empty input range means no matches: skip the variant before
+    // building any index for it.
+    bool empty = false;
+    for (const Step& step : variant.steps) {
+      const Rel& rel = rels_[step.pred];
+      empty = empty || (step.delta ? rel.delta_begin : 0) == rel.total_end;
+    }
+    if (empty) continue;
+    for (const Step& step : variant.steps) {
+      if (step.probe_column == CompiledProgram::kScan ||
+          indexes_[step.slot] != nullptr) {
+        continue;
+      }
+      bool built = false;
+      const Rel& rel = rels_[step.pred];
+      indexes_[step.slot] =
+          rel.relation->Index(step.probe_column, rel.total_end, &built);
+      if (built) ++stats_.index_builds;
+    }
+    if (variant.steps.empty()) {
+      EmitHead(variant);
+    } else {
+      Join(variant, 0);
+    }
+  }
+}
+
+void Evaluator::Join(const Variant& variant, size_t k) {
+  if (k == variant.steps.size()) {
     ++stats_.join_rows;
-    EmitHead(join);
+    EmitHead(variant);
     return;
   }
-  const Step& step = join->steps[k];
+  const Step& step = variant.steps[k];
+  const Rel& rel = rels_[step.pred];
+  const RowSet& rows = rel.relation->rows();
   // Bindings and checks read the row before recursing: deeper steps may
   // append to this same RowSet and move its arena.
   auto match = [&](uint64_t r) {
-    const int64_t* row = step.rows->RowAt(r);
-    for (const auto& [var, col] : step.binds) join->vars[var] = row[col];
+    const int64_t* row = rows.RowAt(r);
+    for (const auto& [var, col] : step.binds) vars_[var] = row[col];
     for (const auto& [col, term] : step.checks) {
-      if (row[col] != join->Value(term)) return;
+      if (row[col] != ValueOf(term, vars_)) return;
     }
-    Join(join, k + 1);
+    Join(variant, k + 1);
   };
-  if (step.index != nullptr) {
+  if (step.probe_column != CompiledProgram::kScan) {
     ++stats_.join_probes;
-    for (uint64_t r = step.index->First(join->Value(step.key));
-         r != ColumnIndex::kEnd; r = step.index->Next(r)) {
+    const ColumnIndex* index = indexes_[step.slot];
+    for (uint64_t r = index->First(ValueOf(step.key, vars_));
+         r != ColumnIndex::kEnd; r = index->Next(r)) {
       match(r);
     }
   } else {
-    for (uint64_t r = step.begin; r < step.end; ++r) match(r);
+    const uint64_t end = rel.total_end;
+    for (uint64_t r = step.delta ? rel.delta_begin : 0; r < end; ++r) {
+      match(r);
+    }
   }
 }
 
-void Evaluator::EmitHead(RuleJoin* join) {
-  // Nullary atoms are stored as one constant-0 column, hence the zero
-  // fill before the arguments go in.
-  for (const Atom* atom : join->negatives) {
-    const RowSet& rows = rels_[atom->pred]->relation->rows();
-    join->row.assign(rows.width(), 0);
-    for (size_t i = 0; i < atom->args.size(); ++i) {
-      join->row[i] = join->Value(atom->args[i]);
+void Evaluator::EmitHead(const Variant& variant) {
+  // A nullary atom is stored as one constant-0 column, hence the zero
+  // before the arguments go in.
+  for (const Atom& atom : variant.negatives) {
+    row_[0] = 0;
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      row_[i] = ValueOf(atom.args[i], vars_);
     }
-    if (rows.Contains(join->row.data())) return;
+    if (rels_[atom.pred].relation->rows().Contains(row_.data())) return;
   }
-  const std::vector<Term>& head_args = join->rule->head.args;
-  join->row.resize(head_args.size());
-  for (size_t i = 0; i < head_args.size(); ++i) {
-    join->row[i] = join->Value(head_args[i]);
+  for (size_t i = 0; i < variant.head_args.size(); ++i) {
+    row_[i] = ValueOf(variant.head_args[i], vars_);
   }
-  if (join->head->own->Insert(join->row.data())) {
+  if (rels_[variant.head_pred].own->Insert(row_.data())) {
     ++stats_.tuples_derived;
-    ++*join->derived;
   } else {
     ++stats_.dedup_hits;
   }
@@ -673,64 +747,45 @@ void Evaluator::EmitHead(RuleJoin* join) {
 uint64_t Evaluator::FlushPending(const std::vector<uint32_t>& members) {
   uint64_t flushed = 0;
   for (uint32_t p : members) {
-    Rel* rel = rels_[p].get();
-    rel->delta_begin = rel->total_end;
-    rel->total_end = rel->relation->size();
-    flushed += rel->total_end - rel->delta_begin;
-    rel->own->ExtendIndexes(rel->total_end);
+    Rel& rel = rels_[p];
+    rel.delta_begin = rel.total_end;
+    rel.total_end = rel.relation->size();
+    flushed += rel.total_end - rel.delta_begin;
+    rel.own->ExtendIndexes(rel.total_end);
   }
   return flushed;
 }
 
-base::Status Evaluator::EvalStratum(const std::vector<uint32_t>& rule_ids,
-                                    const std::vector<uint32_t>& strata,
-                                    uint32_t stratum) {
-  std::set<uint32_t> member_set;
-  for (uint32_t r : rule_ids) member_set.insert(program_->rules[r].head.pred);
-  std::vector<uint32_t> members(member_set.begin(), member_set.end());
-
-  // Variants: (rule, position of the same-stratum positive literal that
-  // reads the delta). Rules with none are non-recursive within this
-  // stratum and fire only in round 0 — their lower-stratum inputs are
-  // already complete.
-  std::vector<std::pair<uint32_t, int>> variants;
-  for (uint32_t r : rule_ids) {
-    const Rule& rule = program_->rules[r];
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      if (!rule.body[i].negated && strata[rule.body[i].pred] == stratum) {
-        variants.emplace_back(r, static_cast<int>(i));
-      }
-    }
-  }
-
-  uint64_t derived = 0;
-  for (uint32_t r : rule_ids) EvalRule(program_->rules[r], -1, &derived);
-  uint64_t round = 0;
-  uint64_t flushed = FlushPending(members);
+base::Status Evaluator::EvalStratum(const CompiledProgram::Stratum& stratum) {
+  // One round: the variants over the current ranges, then the flush that
+  // makes their derivations the next delta. Timed per round, not per row:
+  // one clock read ends the join, and one ends the flush and starts the
+  // next round's join.
+  const base::Stopwatch watch;
+  uint64_t lap = watch.ElapsedNanos();
+  auto round = [&](const std::vector<uint32_t>& variants) {
+    RunVariants(variants);
+    const uint64_t joined = watch.ElapsedNanos();
+    const uint64_t flushed = FlushPending(stratum.members);
+    const uint64_t done = watch.ElapsedNanos();
+    stats_.join_ns += joined - lap;
+    stats_.flush_ns += done - joined;
+    lap = done;
+    ++stats_.iterations;
+    stats_.delta_sizes.push_back(flushed);
+    return flushed;
+  };
+  uint64_t flushed = round(stratum.base);
   uint64_t stratum_tuples = flushed;
-  ++stats_.iterations;
-  stats_.delta_sizes.push_back(flushed);
-
-  while (flushed > 0) {
-    ++round;
-    if (options_.max_iterations > 0 && round > options_.max_iterations) {
+  for (uint64_t n = 1; flushed > 0; ++n) {
+    if (options_.max_iterations > 0 && n > options_.max_iterations) {
       return base::Status::Internal(
           "datalog: fixpoint exceeded max_iterations=" +
           std::to_string(options_.max_iterations));
     }
-    derived = 0;
-    if (options_.semi_naive) {
-      for (const auto& [r, pos] : variants) {
-        EvalRule(program_->rules[r], pos, &derived);
-      }
-    } else {
-      // Naive mode re-derives everything from totals every round; the
-      // RowSet keeps the fixpoint identical. Testing reference only.
-      for (uint32_t r : rule_ids) EvalRule(program_->rules[r], -1, &derived);
-    }
-    flushed = FlushPending(members);
-    ++stats_.iterations;
-    stats_.delta_sizes.push_back(flushed);
+    // Naive mode re-derives everything from totals every round; the
+    // RowSet keeps the fixpoint identical. Testing reference only.
+    flushed = round(options_.semi_naive ? stratum.deltas : stratum.base);
     stratum_tuples += flushed;
   }
   stats_.per_stratum_tuples.push_back(stratum_tuples);
@@ -740,36 +795,32 @@ base::Status Evaluator::EvalStratum(const std::vector<uint32_t>& rule_ids,
 base::Status Evaluator::Run(const EdbLoader& loader) {
   if (ran_) return base::Status::FailedPrecondition("datalog: Run called twice");
   ran_ = true;
-  EDUCE_RETURN_IF_ERROR(Validate(*program_));
-  EDUCE_ASSIGN_OR_RETURN(std::vector<uint32_t> strata, Stratify(*program_));
-
   if (base::Status status = SetUpRelations(loader); !status.ok()) {
     rels_.clear();  // no half-built relation for TupleCount or Visit
     return status;
   }
-
-  // Group rules by head stratum, evaluate strata in dependency order.
-  std::map<uint32_t, std::vector<uint32_t>> by_stratum;
-  for (uint32_t r = 0; r < program_->rules.size(); ++r) {
-    by_stratum[strata[program_->rules[r].head.pred]].push_back(r);
-  }
-  for (const auto& [stratum, rule_ids] : by_stratum) {
+  indexes_.assign(program_->num_slots_, nullptr);
+  stats_.per_stratum_tuples.reserve(program_->strata_.size());
+  stats_.delta_sizes.reserve(16);
+  vars_.assign(program_->num_vars_, 0);
+  row_.assign(program_->row_width_, 0);
+  for (const CompiledProgram::Stratum& stratum : program_->strata_) {
     ++stats_.strata;
-    EDUCE_RETURN_IF_ERROR(EvalStratum(rule_ids, strata, stratum));
+    EDUCE_RETURN_IF_ERROR(EvalStratum(stratum));
   }
   return base::Status::OK();
 }
 
 uint64_t Evaluator::TupleCount(uint32_t pred) const {
   if (pred >= rels_.size()) return 0;
-  return rels_[pred]->relation->size();
+  return rels_[pred].relation->size();
 }
 
 std::vector<std::vector<int64_t>> Evaluator::Tuples(uint32_t pred) const {
   std::vector<std::vector<int64_t>> out;
   if (pred >= rels_.size()) return out;
-  const RowSet& rows = rels_[pred]->relation->rows();
-  const uint32_t width = program_->preds[pred].arity;
+  const RowSet& rows = rels_[pred].relation->rows();
+  const uint32_t width = program_->program().preds[pred].arity;
   out.reserve(rows.size());
   for (uint64_t i = 0; i < rows.size(); ++i) {
     const int64_t* row = rows.RowAt(i);
@@ -778,13 +829,8 @@ std::vector<std::vector<int64_t>> Evaluator::Tuples(uint32_t pred) const {
   return out;
 }
 
-void Evaluator::Visit(
-    uint32_t pred, const std::function<bool(const int64_t* row)>& fn) const {
-  if (pred >= rels_.size()) return;
-  const RowSet& rows = rels_[pred]->relation->rows();
-  for (uint64_t i = 0; i < rows.size(); ++i) {
-    if (!fn(rows.RowAt(i))) return;
-  }
+const RowSet* Evaluator::Rows(uint32_t pred) const {
+  return pred < rels_.size() ? &rels_[pred].relation->rows() : nullptr;
 }
 
 }  // namespace educe::rel::datalog

@@ -113,8 +113,56 @@ struct EvalStats {
   uint64_t index_builds = 0;       // column hash indexes this run built
   uint64_t dedup_hits = 0;         // derivations rejected as duplicates
   uint64_t edb_rows = 0;           // rows of the EDB relations read
+  /// Wall time of the rounds' rule-variant joins (head inserts included)
+  /// and of their delta flushes plus index extensions; each is timed
+  /// once per round, never per row.
+  uint64_t join_ns = 0;
+  uint64_t flush_ns = 0;
   std::vector<uint64_t> delta_sizes;  // new tuples per completed round
   std::vector<uint64_t> per_stratum_tuples;  // tuples derived per stratum
+};
+
+/// Distinct int64 values, each with a dense id in first-seen order: an
+/// open-addressing table (linear probing, power-of-two capacity, load at
+/// most 1/2) that keeps each value in its slot beside its id, so a probe
+/// compares inside the table and reads no other array.
+class ValueIds {
+ public:
+  static constexpr uint64_t kNotFound = ~uint64_t{0};
+
+  /// Id of `value`, or kNotFound.
+  uint64_t Find(int64_t value) const {
+    return count_ == 0 ? kNotFound : slots_[SlotOf(value)].id;
+  }
+  /// Id of `value`, giving it the next id first when it is new.
+  uint64_t Intern(int64_t value);
+
+  uint64_t size() const { return count_; }
+  uint64_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
+
+ private:
+  struct Slot {
+    int64_t value = 0;
+    uint64_t id = kNotFound;  // kNotFound marks a free slot
+  };
+
+  /// Slot holding `value`, or the free slot where it would go.
+  uint64_t SlotOf(int64_t value) const {
+    const uint64_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the multiply spreads every bit of the value
+    // into the high bits, which the shift keeps.
+    uint64_t s = (static_cast<uint64_t>(value) * 0x9e3779b97f4a7c15ull) >>
+                 shift_;
+    while (slots_[s].id != kNotFound && slots_[s].value != value) {
+      s = (s + 1) & mask;
+    }
+    return s;
+  }
+  void Grow();
+
+  std::vector<Slot> slots_;  // allocated by the first Intern
+  uint32_t shift_ = 64;      // 64 - log2(slots_.size())
+  uint64_t count_ = 0;
 };
 
 /// Deduplicating tuple set over a flat int64 arena: rows stay in
@@ -130,7 +178,9 @@ class RowSet {
   /// True when the row was new (appended); false on duplicate.
   bool Insert(const int64_t* row);
   /// Row id (insertion index) of `row`, or kNotFound.
-  uint64_t Find(const int64_t* row) const { return slots_[FindSlot(row)]; }
+  uint64_t Find(const int64_t* row) const {
+    return count_ == 0 ? kNotFound : slots_[FindSlot(row)];
+  }
   bool Contains(const int64_t* row) const { return Find(row) != kNotFound; }
 
   uint64_t size() const { return count_; }
@@ -148,7 +198,9 @@ class RowSet {
   uint32_t width_;
   uint64_t count_ = 0;
   std::vector<int64_t> arena_;
-  std::vector<uint64_t> slots_;  // row ids; kNotFound marks a free slot
+  /// Row ids; kNotFound marks a free slot. Allocated by the first
+  /// insert, so an empty set costs no allocation.
+  std::vector<uint64_t> slots_;
 };
 
 /// Hash index on one column of a relation: value -> the ids of the rows
@@ -158,15 +210,15 @@ class ColumnIndex {
  public:
   static constexpr uint64_t kEnd = ~uint64_t{0};
 
-  explicit ColumnIndex(uint32_t column) : column_(column), keys_(1) {}
+  explicit ColumnIndex(uint32_t column) : column_(column) {}
 
   /// Indexes rows [covered, end) of `rows`.
   void Extend(const RowSet& rows, uint64_t end);
 
   /// First row holding `key`, or kEnd.
   uint64_t First(int64_t key) const {
-    const uint64_t k = keys_.Find(&key);
-    return k == RowSet::kNotFound ? kEnd : head_[k];
+    const uint64_t k = keys_.Find(key);
+    return k == ValueIds::kNotFound ? kEnd : head_[k];
   }
   /// The next row after `row` with the same key, or kEnd.
   uint64_t Next(uint64_t row) const { return next_[row]; }
@@ -175,7 +227,7 @@ class ColumnIndex {
 
  private:
   uint32_t column_;
-  RowSet keys_;  // distinct values; a value's id indexes head_/tail_
+  ValueIds keys_;  // distinct values; a value's id indexes head_/tail_
   std::vector<uint64_t> head_, tail_;
   std::vector<uint64_t> next_;  // per indexed row: next row with its key
 };
@@ -232,11 +284,84 @@ class Relation {
   mutable std::atomic<uint64_t> index_bytes_{0};
 };
 
-/// Semi-naive fixpoint evaluator. Each predicate's tuples live in one
-/// Relation in first-derivation order; "total" and "delta" are row
-/// ranges of it, and joins run as nested loops over those ranges and
-/// per-column hash indexes. IDB relations are private to one
-/// evaluation; EDB relations are borrowed, read-only, from the loader.
+/// A program translated once into fixed join loops (DESIGN.md §15.1):
+/// Compile validates and stratifies it, then turns every rule variant —
+/// a rule with the position of the literal that reads its stratum's
+/// delta, or with none — into an immutable join program: the literal
+/// order, each literal's probe column and key, its variable bindings
+/// and checks, and the head and negated-literal projections. It holds
+/// no evaluation state, so any number of evaluations, on any threads,
+/// may run one compiled program at once.
+class CompiledProgram {
+ public:
+  /// An empty program: no predicates, no rules.
+  CompiledProgram() = default;
+
+  /// Fails with InvalidArgument when Validate or Stratify does.
+  static base::Result<CompiledProgram> Compile(Program program);
+
+  const Program& program() const { return program_; }
+
+ private:
+  friend class Evaluator;
+
+  static constexpr uint32_t kScan = 0xFFFFFFFFu;
+
+  /// One positive body literal in join order: a scan of the literal's
+  /// delta or total row range, or a probe of the index on `probe_column`
+  /// with `key`; then the bindings of its new variables and the checks
+  /// of its other columns.
+  struct Step {
+    uint32_t pred = 0;
+    bool delta = false;
+    uint32_t probe_column = kScan;
+    Term key;
+    uint32_t slot = 0;  // this step's index pointer in an evaluation
+    std::vector<std::pair<uint32_t, uint32_t>> binds;  // var := row[col]
+    std::vector<std::pair<uint32_t, Term>> checks;     // row[col] == term
+  };
+
+  /// One rule variant. No steps: a fact, or a body of ground negated
+  /// literals only, matched once.
+  struct Variant {
+    uint32_t head_pred = 0;
+    std::vector<Term> head_args;
+    std::vector<Step> steps;
+    std::vector<Atom> negatives;
+  };
+
+  /// One evaluation unit: an SCC with rules, in dependency order.
+  struct Stratum {
+    std::vector<uint32_t> members;  // head predicates, ascending
+    /// One variant per rule with no delta literal: every rule fires on
+    /// the totals in round 0, and again every round in naive mode.
+    std::vector<uint32_t> base;
+    /// (rule, delta position) variants for the semi-naive rounds.
+    std::vector<uint32_t> deltas;
+  };
+
+  /// The join program of `rule` with the literal at `delta_pos` (or,
+  /// when negative, none) reading the delta; numbers its steps' slots
+  /// from `*next_slot`.
+  static Variant CompileVariant(const Rule& rule, int delta_pos,
+                                uint32_t* next_slot);
+
+  Program program_;
+  std::vector<Variant> variants_;
+  std::vector<Stratum> strata_;
+  uint32_t num_slots_ = 0;  // steps across all variants
+  uint32_t num_vars_ = 0;   // the largest rule's variable count
+  uint32_t row_width_ = 1;  // the widest head or negated literal
+};
+
+/// Semi-naive fixpoint evaluator: one run of a CompiledProgram. Each
+/// predicate's tuples live in one Relation in first-derivation order;
+/// "total" and "delta" are row ranges of it, and joins run as nested
+/// loops over those ranges and per-column hash indexes. IDB relations
+/// and every other piece of mutable state — variable registers, row
+/// ranges, index pointers — are private to the evaluation; EDB
+/// relations are borrowed, read-only, from the loader, and the compiled
+/// program is only read.
 class Evaluator {
  public:
   /// Supplies the full extension of one EDB predicate as a relation of
@@ -245,14 +370,14 @@ class Evaluator {
   using EdbLoader = std::function<base::Result<std::shared_ptr<const Relation>>(
       uint32_t pred)>;
 
-  Evaluator(const Program* program, EvalOptions options);
+  /// `program` must outlive the evaluator.
+  Evaluator(const CompiledProgram* program, EvalOptions options);
   ~Evaluator();
 
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
-  /// Validates, stratifies, borrows the EDB relations, and runs the
-  /// fixpoint.
+  /// Borrows the EDB relations and runs the fixpoint.
   base::Status Run(const EdbLoader& loader);
 
   /// Tuple count of `pred` after Run (EDB or IDB).
@@ -261,32 +386,34 @@ class Evaluator {
   /// All tuples of `pred` after Run, in first-derivation order.
   std::vector<std::vector<int64_t>> Tuples(uint32_t pred) const;
 
-  /// Visits tuples of `pred` without copying; stops early if `fn` returns
-  /// false.
-  void Visit(uint32_t pred,
-             const std::function<bool(const int64_t* row)>& fn) const;
+  /// The tuples of `pred` after Run, in first-derivation order (null
+  /// when `pred` is out of range or Run failed).
+  const RowSet* Rows(uint32_t pred) const;
 
   const EvalStats& stats() const { return stats_; }
 
  private:
-  struct Rel;          // per-predicate state
-  struct Step;         // one positive body literal in join order
-  struct RuleJoin;     // compiled join loop for one rule variant
+  using Step = CompiledProgram::Step;
+  using Variant = CompiledProgram::Variant;
+  struct Rel;  // per-predicate state
 
   /// Creates the IDB relations and borrows the EDB ones from `loader`.
   base::Status SetUpRelations(const EdbLoader& loader);
-  base::Status EvalStratum(const std::vector<uint32_t>& rule_ids,
-                           const std::vector<uint32_t>& strata,
-                           uint32_t stratum);
-  void EvalRule(const Rule& rule, int delta_pos, uint64_t* derived);
-  void Join(RuleJoin* join, size_t k);
-  void EmitHead(RuleJoin* join);
-  const ColumnIndex* IndexOn(Rel* rel, uint32_t column);
+  base::Status EvalStratum(const CompiledProgram::Stratum& stratum);
+  /// Runs each variant of `ids` once over the current ranges.
+  void RunVariants(const std::vector<uint32_t>& ids);
+  void Join(const Variant& variant, size_t k);
+  void EmitHead(const Variant& variant);
   uint64_t FlushPending(const std::vector<uint32_t>& members);
 
-  const Program* program_;
+  const CompiledProgram* program_;
   EvalOptions options_;
-  std::vector<std::unique_ptr<Rel>> rels_;
+  std::vector<Rel> rels_;
+  /// Per compiled step: its column index, resolved on the step's first
+  /// probe in this evaluation.
+  std::vector<const ColumnIndex*> indexes_;
+  std::vector<int64_t> vars_;  // current value of each rule variable
+  std::vector<int64_t> row_;   // head / negated-literal probe buffer
   EvalStats stats_;
   bool ran_ = false;
 };

@@ -1,15 +1,19 @@
 // Bottom-up Datalog (DESIGN.md §15), both layers:
 //   - rel::datalog: validation, stratification, semi-naive vs naive
-//     differentials on seeded recursive programs, magic-set rewriting.
+//     differentials on seeded recursive programs, magic-set rewriting,
+//     and one compiled program run many times, in sequence and at once.
 //   - educe::DatalogManager: WAM differentials (identical solution sets),
 //     strategy selection, plan caching + push invalidation on edb_assert,
-//     the materialized Solutions mode, and the fallback contract.
+//     edb_retract and consult, the materialized Solutions mode and its
+//     answer constant table, and the fallback contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/rng.h"
@@ -79,6 +83,14 @@ rdl::Evaluator::EdbLoader EdgeLoader(uint32_t edge_pred,
   };
 }
 
+// Compiles `program`, failing the test when it does not compile.
+rdl::CompiledProgram Compiled(rdl::Program program) {
+  base::Result<rdl::CompiledProgram> compiled =
+      rdl::CompiledProgram::Compile(std::move(program));
+  EXPECT_TRUE(compiled.ok()) << compiled.status();
+  return compiled.ok() ? std::move(*compiled) : rdl::CompiledProgram();
+}
+
 std::vector<std::vector<int64_t>> SortedTuples(const rdl::Evaluator& eval,
                                                uint32_t pred) {
   std::vector<std::vector<int64_t>> tuples = eval.Tuples(pred);
@@ -127,7 +139,8 @@ TEST(DatalogIrTest, ChainClosureCountsAndDeltas) {
   uint32_t edge = 0, path = 0;
   const rdl::Program program = ClosureProgram(&edge, &path);
   const std::vector<GraphWorkload::Edge> edges = GraphWorkload::Chain(10);
-  rdl::Evaluator eval(&program, {});
+  const rdl::CompiledProgram compiled = Compiled(program);
+  rdl::Evaluator eval(&compiled, {});
   ASSERT_TRUE(eval.Run(EdgeLoader(edge, edges)).ok());
   // 10-node chain: path count = 10*9/2 = 45.
   EXPECT_EQ(eval.TupleCount(path), 45u);
@@ -143,49 +156,62 @@ TEST(DatalogIrTest, ChainClosureCountsAndDeltas) {
   }
 }
 
-TEST(DatalogIrTest, SemiNaiveMatchesNaiveOnSeededPrograms) {
+// Closure plus a mutually recursive pair (even/odd-hop paths) over a
+// seeded random DAG: the programs the semi-naive, naive and reuse tests
+// share. `*preds` receives path, p and q.
+rdl::Program SeededProgram(uint64_t seed, uint32_t* edge_out,
+                           std::vector<uint32_t>* preds,
+                           std::vector<GraphWorkload::Edge>* edges) {
   using T = rdl::Term;
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    // Closure plus a mutually recursive pair over a random DAG.
-    rdl::Program program;
-    const uint32_t edge = program.AddPred("edge", 2, true);
-    const uint32_t path = program.AddPred("path", 2, false);
-    const uint32_t p = program.AddPred("p", 2, false);
-    const uint32_t q = program.AddPred("q", 2, false);
-    program.rules.push_back(
-        {rdl::Atom{path, false, {T::Var(0), T::Var(1)}},
-         {rdl::Atom{edge, false, {T::Var(0), T::Var(1)}}}});
-    program.rules.push_back(
-        {rdl::Atom{path, false, {T::Var(0), T::Var(1)}},
-         {rdl::Atom{path, false, {T::Var(0), T::Var(2)}},
-          rdl::Atom{edge, false, {T::Var(2), T::Var(1)}}}});
-    // p(X,Y) :- edge(X,Y).  p(X,Y) :- edge(X,Z), q(Z,Y).
-    // q(X,Y) :- edge(X,Z), p(Z,Y).  — even/odd-hop mutual recursion.
-    program.rules.push_back(
-        {rdl::Atom{p, false, {T::Var(0), T::Var(1)}},
-         {rdl::Atom{edge, false, {T::Var(0), T::Var(1)}}}});
-    program.rules.push_back(
-        {rdl::Atom{p, false, {T::Var(0), T::Var(1)}},
-         {rdl::Atom{edge, false, {T::Var(0), T::Var(2)}},
-          rdl::Atom{q, false, {T::Var(2), T::Var(1)}}}});
-    program.rules.push_back(
-        {rdl::Atom{q, false, {T::Var(0), T::Var(1)}},
-         {rdl::Atom{edge, false, {T::Var(0), T::Var(2)}},
-          rdl::Atom{p, false, {T::Var(2), T::Var(1)}}}});
+  rdl::Program program;
+  const uint32_t edge = program.AddPred("edge", 2, true);
+  const uint32_t path = program.AddPred("path", 2, false);
+  const uint32_t p = program.AddPred("p", 2, false);
+  const uint32_t q = program.AddPred("q", 2, false);
+  program.rules.push_back(
+      {rdl::Atom{path, false, {T::Var(0), T::Var(1)}},
+       {rdl::Atom{edge, false, {T::Var(0), T::Var(1)}}}});
+  program.rules.push_back(
+      {rdl::Atom{path, false, {T::Var(0), T::Var(1)}},
+       {rdl::Atom{path, false, {T::Var(0), T::Var(2)}},
+        rdl::Atom{edge, false, {T::Var(2), T::Var(1)}}}});
+  // p(X,Y) :- edge(X,Y).  p(X,Y) :- edge(X,Z), q(Z,Y).
+  // q(X,Y) :- edge(X,Z), p(Z,Y).
+  program.rules.push_back(
+      {rdl::Atom{p, false, {T::Var(0), T::Var(1)}},
+       {rdl::Atom{edge, false, {T::Var(0), T::Var(1)}}}});
+  program.rules.push_back(
+      {rdl::Atom{p, false, {T::Var(0), T::Var(1)}},
+       {rdl::Atom{edge, false, {T::Var(0), T::Var(2)}},
+        rdl::Atom{q, false, {T::Var(2), T::Var(1)}}}});
+  program.rules.push_back(
+      {rdl::Atom{q, false, {T::Var(0), T::Var(1)}},
+       {rdl::Atom{edge, false, {T::Var(0), T::Var(2)}},
+        rdl::Atom{p, false, {T::Var(2), T::Var(1)}}}});
+  *edge_out = edge;
+  *preds = {path, p, q};
+  *edges = GraphWorkload::RandomDag(12 + seed % 5, 28 + 2 * seed, seed);
+  return program;
+}
 
-    const std::vector<GraphWorkload::Edge> edges =
-        GraphWorkload::RandomDag(12 + seed % 5, 28 + 2 * seed, seed);
+TEST(DatalogIrTest, SemiNaiveMatchesNaiveOnSeededPrograms) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    uint32_t edge = 0;
+    std::vector<uint32_t> preds;
+    std::vector<GraphWorkload::Edge> edges;
+    const rdl::Program program = SeededProgram(seed, &edge, &preds, &edges);
 
     rdl::EvalOptions semi;
     semi.semi_naive = true;
     rdl::EvalOptions naive;
     naive.semi_naive = false;
-    rdl::Evaluator semi_eval(&program, semi);
-    rdl::Evaluator naive_eval(&program, naive);
+    const rdl::CompiledProgram compiled = Compiled(program);
+    rdl::Evaluator semi_eval(&compiled, semi);
+    rdl::Evaluator naive_eval(&compiled, naive);
     ASSERT_TRUE(semi_eval.Run(EdgeLoader(edge, edges)).ok()) << "seed " << seed;
     ASSERT_TRUE(naive_eval.Run(EdgeLoader(edge, edges)).ok())
         << "seed " << seed;
-    for (uint32_t pred : {path, p, q}) {
+    for (uint32_t pred : preds) {
       EXPECT_EQ(SortedTuples(semi_eval, pred), SortedTuples(naive_eval, pred))
           << "seed " << seed << " pred " << pred;
     }
@@ -194,6 +220,89 @@ TEST(DatalogIrTest, SemiNaiveMatchesNaiveOnSeededPrograms) {
     if (semi_eval.stats().iterations > 2) {
       EXPECT_GT(naive_eval.stats().dedup_hits, semi_eval.stats().dedup_hits)
           << "seed " << seed;
+    }
+  }
+}
+
+// One evaluation's observable result: every IDB predicate's tuples in
+// derivation order, and every counter but the wall-clock phase timers.
+struct RunRecord {
+  std::vector<std::vector<std::vector<int64_t>>> tuples;
+  std::vector<uint64_t> counters;
+  std::vector<uint64_t> delta_sizes;
+  bool ok = false;
+
+  friend bool operator==(const RunRecord&, const RunRecord&) = default;
+};
+
+RunRecord RecordRun(const rdl::CompiledProgram& compiled,
+                    const rdl::Evaluator::EdbLoader& loader) {
+  RunRecord record;
+  rdl::Evaluator eval(&compiled, {});
+  record.ok = eval.Run(loader).ok();
+  for (uint32_t pred = 0; pred < compiled.program().preds.size(); ++pred) {
+    record.tuples.push_back(eval.Tuples(pred));
+  }
+  const rdl::EvalStats& s = eval.stats();
+  record.counters = {s.strata,      s.iterations,   s.tuples_derived,
+                     s.join_rows,   s.join_probes,  s.index_builds,
+                     s.dedup_hits,  s.edb_rows};
+  record.delta_sizes = s.delta_sizes;
+  return record;
+}
+
+TEST(DatalogIrTest, CompiledProgramIsReusedSafely) {
+  // A compiled program is only read by its evaluations: run one 3 times
+  // in sequence and 4 times at once, and every run must give what the
+  // first gave. Each run gets its own EDB relation, so each builds the
+  // same indexes and the counters match exactly. TSan sweeps this test.
+  std::vector<std::pair<rdl::Program, rdl::Evaluator::EdbLoader>> cases;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    uint32_t edge = 0;
+    std::vector<uint32_t> preds;
+    std::vector<GraphWorkload::Edge> edges;
+    rdl::Program program = SeededProgram(seed, &edge, &preds, &edges);
+    cases.emplace_back(std::move(program), [edge, edges](uint32_t pred) {
+      return EdgeLoader(edge, edges)(pred);
+    });
+  }
+  {
+    // The magic-rewritten closure, bound on its first argument.
+    uint32_t edge = 0, path = 0;
+    const rdl::Program program = ClosureProgram(&edge, &path);
+    auto rewritten = rdl::MagicRewrite(program, path, {true, false});
+    ASSERT_TRUE(rewritten.ok()) << rewritten.status();
+    const uint32_t seed_pred = rewritten->seed_pred;
+    const std::vector<GraphWorkload::Edge> edges =
+        GraphWorkload::RandomDag(40, 90, 5);
+    cases.emplace_back(
+        rewritten->program,
+        [seed_pred, edges](uint32_t pred)
+            -> base::Result<std::shared_ptr<const rdl::Relation>> {
+          if (pred == seed_pred) return MakeRelation(1, {{0}});
+          return EdgeRelation(edges);
+        });
+  }
+
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const rdl::CompiledProgram compiled = Compiled(cases[c].first);
+    const rdl::Evaluator::EdbLoader& loader = cases[c].second;
+    const RunRecord first = RecordRun(compiled, loader);
+    ASSERT_TRUE(first.ok) << "case " << c;
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(RecordRun(compiled, loader) == first)
+          << "case " << c << " sequential run " << i;
+    }
+    std::vector<RunRecord> concurrent(4);
+    std::vector<std::thread> threads;
+    for (RunRecord& slot : concurrent) {
+      threads.emplace_back(
+          [&compiled, &loader, &slot] { slot = RecordRun(compiled, loader); });
+    }
+    for (std::thread& t : threads) t.join();
+    for (size_t i = 0; i < concurrent.size(); ++i) {
+      EXPECT_TRUE(concurrent[i] == first)
+          << "case " << c << " concurrent run " << i;
     }
   }
 }
@@ -224,7 +333,8 @@ TEST(DatalogIrTest, StratifiedNegation) {
     if (pred == node) return MakeRelation(1, {{0}, {1}, {2}, {3}, {4}});
     return EdgeLoader(edge, edges)(pred);
   };
-  rdl::Evaluator eval(&program, {});
+  const rdl::CompiledProgram compiled = Compiled(program);
+  rdl::Evaluator eval(&compiled, {});
   ASSERT_TRUE(eval.Run(loader).ok());
   // path(0, ·) reaches 1..4, so only node 0 is unreached from 0.
   EXPECT_EQ(SortedTuples(eval, unreached),
@@ -320,8 +430,9 @@ TEST(DatalogIrTest, JoinShapesMatchHandComputedSets) {
 
   rdl::EvalOptions naive_options;
   naive_options.semi_naive = false;
-  rdl::Evaluator semi(&program, {});
-  rdl::Evaluator naive(&program, naive_options);
+  const rdl::CompiledProgram compiled = Compiled(program);
+  rdl::Evaluator semi(&compiled, {});
+  rdl::Evaluator naive(&compiled, naive_options);
   ASSERT_TRUE(semi.Run(loader).ok());
   ASSERT_TRUE(naive.Run(loader).ok());
   for (const auto& [pred, rows] : expected) {
@@ -343,7 +454,8 @@ TEST(DatalogIrTest, MagicRewriteDerivesStrictlyFewerTuples) {
     edges.emplace_back(e.first + 100, e.second + 100);
   }
 
-  rdl::Evaluator full(&program, {});
+  const rdl::CompiledProgram compiled = Compiled(program);
+  rdl::Evaluator full(&compiled, {});
   ASSERT_TRUE(full.Run(EdgeLoader(edge, edges)).ok());
 
   auto rewritten = rdl::MagicRewrite(program, path, {true, false});
@@ -354,7 +466,8 @@ TEST(DatalogIrTest, MagicRewriteDerivesStrictlyFewerTuples) {
     if (pred == rewritten->seed_pred) return MakeRelation(1, {{0}});
     return EdgeRelation(edges);  // every other EDB is edge
   };
-  rdl::Evaluator magic(&rewritten->program, {});
+  const rdl::CompiledProgram compiled_magic = Compiled(rewritten->program);
+  rdl::Evaluator magic(&compiled_magic, {});
   ASSERT_TRUE(magic.Run(loader).ok());
 
   // The bound query answers: exactly the 7 tuples path(0, 1..7).
@@ -620,6 +733,49 @@ TEST(DatalogEngineTest, AssertInvalidatesCompiledPlans) {
   EXPECT_GT(after.plans_compiled, before.plans_compiled);
 }
 
+TEST(DatalogEngineTest, RetractAndConsultInvalidateCompiledPlans) {
+  // Beyond edb_assert: an edb_retract of an EDB row and a consulted
+  // clause for the IDB predicate itself must each drop the cached magic
+  // (bound) and full plans. After each, both call patterns answer as the
+  // same engine does with the WAM strategy.
+  EngineOptions options;
+  options.datalog = true;
+  Engine engine(options);
+  ASSERT_TRUE(
+      GraphWorkload::StoreEdges(&engine, "edge", GraphWorkload::Chain(6))
+          .ok());
+  ASSERT_TRUE(engine.Consult(kClosureRules).ok());
+  DatalogManager* manager = engine.datalog_manager();
+  auto answers = [&](const std::string& goal) {
+    const uint64_t bottom_up = engine.Stats().datalog.queries_bottom_up;
+    const std::set<std::string> got = SolutionSet(&engine, goal);
+    EXPECT_EQ(engine.Stats().datalog.queries_bottom_up, bottom_up + 1)
+        << goal << " was not answered bottom-up";
+    manager->SetStrategy("path", 2, DatalogStrategy::kWam);
+    EXPECT_EQ(got, SolutionSet(&engine, goal)) << goal;
+    manager->SetStrategy("path", 2, DatalogStrategy::kAuto);
+    return got;
+  };
+  EXPECT_EQ(answers("path(0, Y)").size(), 5u);
+  EXPECT_EQ(answers("path(X, Y)").size(), 15u);
+  EXPECT_EQ(engine.Stats().datalog.plans_compiled, 2u);
+
+  uint64_t invalidated = engine.Stats().datalog.plans_invalidated;
+  auto retracted = engine.Succeeds("edb_retract(edge(2, 3))");
+  ASSERT_TRUE(retracted.ok()) << retracted.status();
+  ASSERT_TRUE(*retracted);
+  EXPECT_GT(engine.Stats().datalog.plans_invalidated, invalidated);
+  EXPECT_EQ(answers("path(0, Y)"), (std::set<std::string>{"Y=1", "Y=2"}));
+  EXPECT_EQ(answers("path(X, Y)").size(), 6u);
+
+  invalidated = engine.Stats().datalog.plans_invalidated;
+  ASSERT_TRUE(engine.Consult("path(2, 5).\n").ok());
+  EXPECT_GT(engine.Stats().datalog.plans_invalidated, invalidated);
+  EXPECT_EQ(answers("path(0, Y)"),
+            (std::set<std::string>{"Y=1", "Y=2", "Y=5"}));
+  EXPECT_EQ(answers("path(X, Y)").size(), 9u);
+}
+
 TEST(DatalogEngineTest, PlanCacheHitsOnRepeatedCallPattern) {
   EngineOptions options;
   options.datalog = true;
@@ -738,6 +894,63 @@ TEST(DatalogEngineTest, AtomConstantsRoundTrip) {
   pair.ExpectSameSolutions("path(a, Y)");
   pair.ExpectSameSolutions("path(X, e)");
   EXPECT_GE(pair.bottom_up.Stats().datalog.queries_bottom_up, 3u);
+}
+
+TEST(DatalogEngineTest, AnswerConstantsDecodeOncePerAnswer) {
+  // An answer's cells index its table of distinct constants: rows that
+  // repeat a constant share one AST, decoded on the first read, and an
+  // answer whose bindings are never read decodes nothing.
+  EngineOptions options;
+  options.datalog = true;
+  Engine engine(options);
+  ASSERT_TRUE(
+      engine.StoreFactsExternal("e(a, 1). e(a, 2). e(b, 1). e(c, 1).").ok());
+  ASSERT_TRUE(engine.Consult("r(X, Y) :- e(X, Y).\n").ok());
+  engine.datalog_manager()->SetStrategy("r", 2, DatalogStrategy::kBottomUp);
+
+  auto solutions = engine.Query("r(X, Y)");
+  ASSERT_TRUE(solutions.ok()) << solutions.status();
+  EXPECT_EQ(engine.Stats().datalog.constants_decoded, 0u);
+  std::map<std::string, std::set<const term::Ast*>> nodes;  // text -> ASTs
+  std::set<std::string> rows;
+  while (true) {
+    auto more = (*solutions)->Next();
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    for (const char* var : {"X", "Y", "X"}) {
+      const term::AstPtr ast = (*solutions)->BindingAst(var);
+      ASSERT_NE(ast, nullptr);
+      nodes[(*solutions)->Binding(var)].insert(ast.get());
+    }
+    const std::map<std::string, std::string> all = (*solutions)->All();
+    rows.insert("X=" + all.at("X") + ",Y=" + all.at("Y"));
+  }
+  EXPECT_EQ(rows, (std::set<std::string>{"X=a,Y=1", "X=a,Y=2", "X=b,Y=1",
+                                         "X=c,Y=1"}));
+  // One AST per distinct constant, however many rows repeat it.
+  ASSERT_EQ(nodes.size(), 5u);
+  for (const auto& [text, asts] : nodes) {
+    EXPECT_EQ(asts.size(), 1u) << text << " decoded more than once";
+  }
+  EXPECT_EQ(engine.Stats().datalog.constants_decoded, 5u);
+  // The WAM gives the same text.
+  engine.datalog_manager()->SetStrategy("r", 2, DatalogStrategy::kWam);
+  EXPECT_EQ(SolutionSet(&engine, "r(X, Y)"), rows);
+
+  // Counting the kbbench closure's 7,849 rows reads no binding, so
+  // nothing decodes.
+  ASSERT_TRUE(GraphWorkload::StoreEdges(&engine, "edge",
+                                        GraphWorkload::RandomDag(1500, 2250, 7))
+                  .ok());
+  ASSERT_TRUE(
+      engine.Consult(GraphWorkload::ClosureRules("path", "edge")).ok());
+  const DatalogStats before = engine.Stats().datalog;
+  auto count = engine.CountSolutions("path(X, Y)");
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(*count, 7849u);
+  const DatalogStats after = engine.Stats().datalog;
+  EXPECT_EQ(after.queries_bottom_up, before.queries_bottom_up + 1);
+  EXPECT_EQ(after.constants_decoded, before.constants_decoded);
 }
 
 TEST(DatalogEngineTest, DescribeAndMetricsExport) {
