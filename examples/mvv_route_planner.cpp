@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
     ++shown;
   }
   if (shown == 0) std::printf("  (none)\n");
+  direct->reset();  // frees the engine's machine for the next query
 
   // One change.
   std::printf("\nwith one change:\n");
@@ -85,6 +86,7 @@ int main(int argc, char** argv) {
     ++shown;
   }
   if (shown == 0) std::printf("  (none)\n");
+  change->reset();
 
   // A relational-style side query: which zone is the destination in?
   auto zone = engine.First("location2(" + to + ", Z)");

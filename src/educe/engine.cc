@@ -207,21 +207,19 @@ Engine::Engine(EngineOptions options)
       external_dictionary_(MakeExternalDictionary(&pool_, &boot_)),
       codec_(&dictionary_, &external_dictionary_, program_.builtins()),
       clause_store_(&pool_, &external_dictionary_, &codec_, &dictionary_),
-      loader_(&clause_store_, &codec_),
-      resolver_(&clause_store_, &loader_, &program_) {
+      loader_(&clause_store_, &codec_) {
   base::Status st = wam::InstallStandardLibrary(&program_);
   (void)st;  // cannot fail on a fresh program; surfaced via first query
   RegisterEdbBuiltins();
   datalog_ = std::make_unique<DatalogManager>(&dictionary_, &clause_store_,
                                               &program_, &tracer_);
-  machine_ = std::make_unique<wam::Machine>(&program_, options_.machine);
-  machine_->set_resolver(&resolver_);
+  // The engine's own session takes the first serial, so its $aux range
+  // (serial << 32) is disjoint from the base program's, which starts at 0.
+  session_.reset(new Session(this, ++session_serial_, /*worker=*/false));
   // One tracer for the whole stack: spans from the loader, resolver,
   // clause store, buffer pool and emulator interleave on a shared
   // timeline (DESIGN.md §11).
-  machine_->set_tracer(&tracer_);
   loader_.set_tracer(&tracer_);
-  resolver_.set_tracer(&tracer_);
   clause_store_.set_tracer(&tracer_);
   pool_.set_tracer(&tracer_);
   // Contended lock waits (>= ~1us) become spans on the same timeline.
@@ -528,16 +526,20 @@ void Engine::SyncOptions() {
     loader_.SetCacheLimits(edb::CodeCache::Limits{
         GovernedEntryCap(options_), loader_.cache()->limits().max_bytes});
   }
-  resolver_.options().choice_point_elimination =
+  // Worker sessions adopt the engine session's options when they open.
+  session_->overlay_.SetIndexingEnabled(options_.first_arg_indexing);
+  session_->overlay_.SetFusionEnabled(options_.superinstructions);
+  session_->resolver_.options().choice_point_elimination =
       options_.choice_point_elimination;
-  resolver_.options().loader_cache = options_.loader_cache;
+  session_->resolver_.options().loader_cache = options_.loader_cache;
   file_.set_simulated_latency_ns(options_.io_latency_ns);
   // Observability gates: the tracer's enabled flag doubles as the master
   // switch for span recording and per-procedure cost histograms; the
   // emulator's opcode-class gate also opens when only the slow-query log
   // wants profiles.
   tracer_.SetEnabled(options_.profiling);
-  machine_->set_profiling(options_.profiling || options_.slow_query_ns > 0);
+  session_->machine_->set_profiling(options_.profiling ||
+                                    options_.slow_query_ns > 0);
   // The lock-profiler gate is process-wide (the registry outlives any
   // engine), so only forward *changes* to this engine's option: a second
   // engine whose option still holds the default must not flip the gate
@@ -561,20 +563,19 @@ base::Status Engine::Consult(std::string_view source) {
   EDUCE_ASSIGN_OR_RETURN(std::vector<reader::ReadTerm> clauses,
                          reader::ParseProgram(&dictionary_, source));
   for (const auto& clause : clauses) {
-    // Directives (`:- Goal.`) execute immediately, as in a normal consult.
+    // Directives (`:- Goal.`) execute immediately on the engine's session.
     if (clause.term->IsStruct() && clause.term->args.size() == 1 &&
         dictionary_.NameOf(clause.term->functor) == ":-") {
-      EDUCE_RETURN_IF_ERROR(
-          machine_->StartQuery(clause.term->args[0], clause.num_vars));
-      EDUCE_ASSIGN_OR_RETURN(bool ok, machine_->NextSolution());
+      // WriteTerm's text re-parses to the same term.
+      const std::string goal =
+          reader::WriteTerm(dictionary_, *clause.term->args[0]);
+      EDUCE_ASSIGN_OR_RETURN(bool ok, Succeeds(goal));
       if (!ok) {
-        reader::WriteOptions wo;
-        return base::Status::InvalidArgument(
-            "directive failed: " +
-            reader::WriteTerm(dictionary_, *clause.term->args[0], wo));
+        return base::Status::InvalidArgument("directive failed: " + goal);
       }
       continue;
     }
+    FoldEngineSession();
     EDUCE_RETURN_IF_ERROR(program_.AddClause(clause.term));
     // Mirror into the Datalog catalog (fed unconditionally so flipping
     // options().datalog on later still sees earlier consults).
@@ -684,6 +685,7 @@ base::Status Engine::StoreRulesExternal(std::string_view source) {
         // control constructs) store fine under load.
         EDUCE_RETURN_IF_ERROR(RefuseIfSessionsActive(
             "StoreRulesExternal with control constructs"));
+        FoldEngineSession();
       }
       bool main = true;
       for (auto& c : compiled) {
@@ -705,17 +707,12 @@ base::Result<std::unique_ptr<Solutions>> Engine::Query(std::string_view goal,
   // After a failed recovery the store is a truncated copy of what was
   // acknowledged: refuse rather than answer from it (open_status()).
   EDUCE_RETURN_IF_ERROR(boot_.recovery);
-  // StartQuery installs $query scaffolding into the base program, which
-  // worker sessions read lock-free; route queries through a Session
-  // while any are open.
-  EDUCE_RETURN_IF_ERROR(RefuseIfSessionsActive("Engine::Query"));
-  return OpenQuery({machine_.get(), &resolver_, &query_active_}, goal,
-                   trace_id);
+  return OpenQuery(session_.get(), goal, trace_id);
 }
 
 base::Result<std::unique_ptr<Solutions>> Engine::OpenQuery(
-    const QueryOwner& owner, std::string_view goal, uint64_t trace_id) {
-  if (*owner.query_active) {
+    Session* owner, std::string_view goal, uint64_t trace_id) {
+  if (owner->query_active_) {
     return base::Status::FailedPrecondition(
         "Query refused: a Solutions from a previous query is still active on "
         "this machine (at most one per machine; destroy it first)");
@@ -728,6 +725,8 @@ base::Result<std::unique_ptr<Solutions>> Engine::OpenQuery(
   obs::TraceIdScope trace_scope(trace_id);
   EDUCE_ASSIGN_OR_RETURN(reader::ReadTerm read,
                          reader::ParseTerm(&dictionary_, goal));
+  // Armed before StartQuery, so the deltas include the query's setup.
+  std::function<void(uint64_t)> retire = ObserveQuery(goal, owner, watch);
   std::unique_ptr<Solutions> solutions;
   if (options_.datalog) {
     // Offer the goal to the bottom-up evaluator first; handled=false is
@@ -741,12 +740,13 @@ base::Result<std::unique_ptr<Solutions>> Engine::OpenQuery(
     }
   }
   if (solutions == nullptr) {
-    EDUCE_RETURN_IF_ERROR(owner.machine->StartQuery(read.term, read.num_vars));
-    solutions.reset(new Solutions(owner.machine, &dictionary_, std::move(read)));
+    wam::Machine* machine = owner->machine_.get();
+    EDUCE_RETURN_IF_ERROR(machine->StartQuery(read.term, read.num_vars));
+    solutions.reset(new Solutions(machine, &dictionary_, std::move(read)));
   }
-  *owner.query_active = true;
+  owner->query_active_ = true;
   solutions->trace_id_ = trace_id;
-  AttachObservation(solutions.get(), goal, owner, watch);
+  solutions->on_retire_ = std::move(retire);
   return solutions;
 }
 
@@ -798,8 +798,13 @@ base::Status Engine::InvalidateBuffers() { return ResetBufferCache(false); }
 
 base::Result<uint64_t> Engine::CollectDictionary() {
   // Sweeping symbols while sessions run would tombstone ids their
-  // overlays and in-flight code still reference.
+  // overlays and in-flight code (a live Engine::Query's heap) reference.
   EDUCE_RETURN_IF_ERROR(RefuseIfSessionsActive("CollectDictionary"));
+  if (session_->query_active_) {
+    return base::Status::FailedPrecondition(
+        "CollectDictionary refused: an Engine::Query Solutions is live");
+  }
+  FoldEngineSession();
   // Roots: everything the predicate store and cached EDB code reference,
   // plus the syntax symbols the reader/machine assume are interned.
   std::set<dict::SymbolId> live;
@@ -867,15 +872,16 @@ void AddCounters(Stats* into, const Stats& add, const Stats& sub,
 }
 }  // namespace
 
-Session::Session(Engine* engine, uint64_t serial)
+Session::Session(Engine* engine, uint64_t serial, bool worker)
     : engine_(engine),
+      worker_(worker),
       overlay_(&engine->dictionary_, &engine->program_),
       resolver_(&engine->clause_store_, &engine->loader_, &overlay_) {
   // Disjoint $aux name ranges per session: an overlay must never shadow
   // an auxiliary procedure generated (and still called) by the base
   // program or a sibling session.
   overlay_.SeedAuxCounter(serial << 32);
-  resolver_.options() = engine->resolver_.options();
+  if (worker) resolver_.options() = engine->session_->resolver_.options();
   machine_ = std::make_unique<wam::Machine>(&overlay_, engine->options_.machine);
   machine_->set_resolver(&resolver_);
   // Sessions share the engine's tracer (its rings are thread-striped) and
@@ -887,14 +893,14 @@ Session::Session(Engine* engine, uint64_t serial)
 }
 
 Session::~Session() {
+  if (!worker_) return;
   std::lock_guard<obs::TrackedMutex> lock(engine_->sessions_mu_);
   --engine_->active_sessions_;
 }
 
 base::Result<std::unique_ptr<Solutions>> Session::Query(std::string_view goal,
                                                         uint64_t trace_id) {
-  return engine_->OpenQuery({machine_.get(), &resolver_, &query_active_}, goal,
-                            trace_id);
+  return engine_->OpenQuery(this, goal, trace_id);
 }
 
 base::Result<bool> Session::Succeeds(std::string_view goal) {
@@ -909,14 +915,15 @@ base::Result<std::unique_ptr<Session>> Engine::OpenSession() {
   EDUCE_RETURN_IF_ERROR(boot_.recovery);
   std::lock_guard<obs::TrackedMutex> lock(sessions_mu_);
   if (active_sessions_ == 0) {
-    // Freeze the base: with every procedure pre-linked, overlay sessions
-    // serve base code straight from the immutable linked pointers and
-    // never take the shadow-copy fallback.
+    // Fold, then freeze the base: with every procedure pre-linked, overlay
+    // sessions serve base code straight from the immutable linked
+    // pointers and never take the shadow-copy fallback.
+    FoldEngineSession();
     program_.LinkAll();
   }
   ++active_sessions_;
   const uint64_t serial = ++session_serial_;
-  return std::unique_ptr<Session>(new Session(this, serial));
+  return std::unique_ptr<Session>(new Session(this, serial, /*worker=*/true));
 }
 
 uint32_t Engine::active_sessions() const {
@@ -998,20 +1005,18 @@ base::Result<std::vector<SolveOutcome>> Engine::SolveParallel(
 
 EngineStats Engine::Stats() {
   EngineStats stats;
-  stats.machine = machine_->stats();
+  {
+    // Every query published its footprint as it retired.
+    std::lock_guard<obs::TrackedMutex> lock(obs_mu_);
+    stats.machine = machine_totals_;
+    stats.resolver = resolver_totals_;
+  }
   stats.program = program_.stats();
   stats.paged_file = file_.stats();
   stats.buffer_pool = pool_.stats();
   stats.clause_store = clause_store_.stats();
   stats.loader = loader_.stats();
   stats.code_cache = loader_.cache_stats();
-  stats.resolver = resolver_.stats();
-  {
-    // Session queries published their footprint as they retired.
-    std::lock_guard<obs::TrackedMutex> lock(obs_mu_);
-    AddCounters(&stats.machine, session_machine_, {}, kMachineCounters);
-    AddCounters(&stats.resolver, session_resolver_, {}, kResolverCounters);
-  }
   stats.compiler = program_.compiler()->stats();
   stats.datalog = datalog_->stats();
   if (wal_ != nullptr) {
@@ -1036,19 +1041,17 @@ EngineStats Engine::Stats() {
 }
 
 void Engine::ResetStats() {
-  machine_->ResetStats();
   program_.ResetStats();
   file_.ResetStats();
   pool_.ResetStats();
   clause_store_.ResetStats();
   loader_.ResetStats();
-  resolver_.ResetStats();
   program_.compiler()->ResetStats();
   query_latency_.Reset();
   {
     std::lock_guard<obs::TrackedMutex> lock(obs_mu_);
-    session_machine_ = wam::MachineStats{};
-    session_resolver_ = edb::ResolverStats{};
+    machine_totals_ = wam::MachineStats{};
+    resolver_totals_ = edb::ResolverStats{};
     recent_profiles_.clear();
     op_class_totals_.fill(0);
     digram_totals_.reset();
@@ -1057,13 +1060,9 @@ void Engine::ResetStats() {
   tracer_.Clear();
 }
 
-void Engine::AttachObservation(Solutions* solutions, std::string_view goal,
-                               const QueryOwner& owner,
-                               const base::Stopwatch& watch) {
+std::function<void(uint64_t)> Engine::ObserveQuery(
+    std::string_view goal, Session* owner, const base::Stopwatch& watch) {
   const bool collect = options_.profiling || options_.slow_query_ns > 0;
-  // The engine's own machine and resolver are the base of Stats(); a
-  // session's query adds its footprint to the engine's totals.
-  const bool publish = owner.machine != machine_.get();
   // Counter snapshot at query start; the finalizer diffs against it at
   // retirement so the deltas hold exactly this owner's footprint even
   // though the underlying counters are lifetime totals.
@@ -1081,8 +1080,8 @@ void Engine::AttachObservation(Solutions* solutions, std::string_view goal,
   };
   auto snap = std::make_shared<Snapshot>();
   snap->watch = watch;
-  snap->machine = owner.machine->stats();
-  snap->resolver = owner.resolver->stats();
+  snap->machine = owner->machine_->stats();
+  snap->resolver = owner->resolver_.stats();
   if (collect) {
     snap->goal = std::string(goal);
     const edb::LoaderStats& l = loader_.stats();
@@ -1094,20 +1093,20 @@ void Engine::AttachObservation(Solutions* solutions, std::string_view goal,
     snap->pages_read = file_.stats().pages_read;
     snap->buffer_hits = pool_.stats().hits;
   }
-  solutions->on_retire_ = [this, snap, owner, collect,
-                           publish](uint64_t solutions_seen) {
-    *owner.query_active = false;  // the owner may open its next query
+  return [this, snap, owner, collect](uint64_t solutions_seen) {
+    owner->query_active_ = false;  // the owner may open its next query
     const uint64_t total_ns = snap->watch.ElapsedNanos();
     query_latency_.Record(total_ns);
     wam::MachineStats m;
-    AddCounters(&m, owner.machine->stats(), snap->machine, kMachineCounters);
+    AddCounters(&m, owner->machine_->stats(), snap->machine,
+                kMachineCounters);
     edb::ResolverStats r;
-    AddCounters(&r, owner.resolver->stats(), snap->resolver,
+    AddCounters(&r, owner->resolver_.stats(), snap->resolver,
                 kResolverCounters);
-    if (publish) {
+    {
       std::lock_guard<obs::TrackedMutex> lock(obs_mu_);
-      AddCounters(&session_machine_, m, {}, kMachineCounters);
-      AddCounters(&session_resolver_, r, {}, kResolverCounters);
+      AddCounters(&machine_totals_, m, {}, kMachineCounters);
+      AddCounters(&resolver_totals_, r, {}, kResolverCounters);
     }
     // Governor heartbeat: every Nth retirement (engine or session alike)
     // runs a rebalance on this thread. No lock is held here.
@@ -1125,7 +1124,7 @@ void Engine::AttachObservation(Solutions* solutions, std::string_view goal,
     p.trail_entries = m.trail_entries;
     // The emulator profile is reset per StartQuery, so it is already
     // query-scoped; no diffing needed.
-    const obs::EmulatorProfile& ep = owner.machine->profile();
+    const obs::EmulatorProfile& ep = owner->machine_->profile();
     p.op_class = ep.op_class;
     p.heap_high_water = ep.heap_high_water;
     p.resolve_ns = r.resolve_ns;

@@ -235,21 +235,20 @@ class Solutions {
   std::function<void(uint64_t)> on_retire_;
 };
 
-/// A worker session over a shared Engine (DESIGN.md §10): its own WAM
-/// machine and Program *overlay*, borrowing the engine's read-mostly
-/// substrate — symbol dictionary, external dictionary, clause store,
-/// buffer pool, and the loader with its shared code cache. Obtain via
-/// Engine::OpenSession(); any number of sessions may run queries on
-/// distinct threads concurrently (one thread per session at a time).
+/// A session over a shared Engine (DESIGN.md §10): its own WAM machine
+/// and Program *overlay*, borrowing the engine's read-mostly substrate —
+/// symbol dictionary, external dictionary, clause store, buffer pool, and
+/// the loader with its shared code cache. Engine::Query runs on the
+/// engine's own session; worker sessions come from Engine::OpenSession(),
+/// and run queries on distinct threads (one thread per session at a time).
 ///
 /// Sessions see the shared EDB live: concurrent edb_assert /
 /// StoreFactsExternal mutations become visible under the store's latch,
-/// with cache invalidation pushed before the mutation unlatches. The
-/// engine's main-memory program is frozen while sessions are open
-/// (Consult/Query/Close on the Engine are refused); each session's
-/// transient assertions ($query scaffolding, the source-rule cycle) land
-/// in its private overlay and never touch the shared base. Its queries
-/// report to the engine as each one retires, like Engine::Query's.
+/// with cache invalidation pushed before the mutation unlatches. A
+/// session's main-memory writes ($query scaffolding, assert, the
+/// source-rule cycle) land in its private overlay; only the engine's own
+/// session's reach the shared base, through a fold while no worker
+/// session is open. Every query reports to the engine as it retires.
 class Session {
  public:
   ~Session();
@@ -279,9 +278,11 @@ class Session {
 
  private:
   friend class Engine;
-  Session(Engine* engine, uint64_t serial);
+  /// Only `worker` sessions count in Engine::active_sessions().
+  Session(Engine* engine, uint64_t serial, bool worker);
 
   Engine* engine_;
+  bool worker_;
   wam::Program overlay_;
   edb::EdbResolver resolver_;
   std::unique_ptr<wam::Machine> machine_;
@@ -395,16 +396,16 @@ class Engine {
 
   /// --- queries -------------------------------------------------------------
 
-  /// Opens a query. The returned object borrows the engine's machine.
-  /// FailedPrecondition while a previous Solutions is still live — not
-  /// yet exhausted, failed, or destroyed (at most one Solutions per
-  /// machine) — or while worker sessions are open.
+  /// Opens a query on the engine's own session, whose machine the returned
+  /// object borrows; worker sessions may be open. FailedPrecondition while
+  /// a previous Solutions is still live — not yet exhausted, failed, or
+  /// destroyed (at most one Solutions per machine).
   /// `trace_id` correlates this query's spans (0 = mint a fresh id).
   base::Result<std::unique_ptr<Solutions>> Query(std::string_view goal,
                                                  uint64_t trace_id = 0);
 
   /// Whether a Solutions from Engine::Query is still live.
-  bool query_active() const { return query_active_; }
+  bool query_active() const { return session_->query_active(); }
 
   /// Convenience: run `goal`, return whether it has at least one solution.
   base::Result<bool> Succeeds(std::string_view goal);
@@ -419,11 +420,10 @@ class Engine {
   /// --- worker sessions -----------------------------------------------------
 
   /// Opens a worker session sharing this engine's EDB substrate. The
-  /// first open freezes the main-memory program (pre-links every
-  /// procedure); while any session is live, Engine::Query / Consult /
-  /// CollectDictionary / Close are refused with FailedPrecondition.
-  /// Each session query adds its machine and resolver counters to
-  /// Stats() when it retires, so open sessions report live.
+  /// first open folds the engine's own session into the main-memory
+  /// program and freezes it (pre-links every procedure); while any worker
+  /// session is live, Consult / CollectDictionary / Close are refused
+  /// with FailedPrecondition.
   base::Result<std::unique_ptr<Session>> OpenSession();
 
   /// Number of currently open worker sessions.
@@ -486,10 +486,13 @@ class Engine {
   /// functor not referenced by the predicate store, the builtins, the
   /// loader's code cache or the core syntax symbols, tombstoning their
   /// slots for reuse. Surviving identifiers are never relocated, so all
-  /// compiled code stays valid. Must run between queries (no solutions
-  /// iterator may be live). Returns the number of entries removed.
+  /// compiled code stays valid. Must run between queries: refused while
+  /// an Engine::Query Solutions or a worker session is live. Returns the
+  /// number of entries removed.
   base::Result<uint64_t> CollectDictionary();
 
+  /// The machine and resolver counters sum retired queries' deltas, every
+  /// session's alike; a live query has not published yet.
   EngineStats Stats();
   void ResetStats();
 
@@ -533,7 +536,8 @@ class Engine {
   EngineOptions& options() { return options_; }
   dict::Dictionary* dictionary() { return &dictionary_; }
   wam::Program* program() { return &program_; }
-  wam::Machine* machine() { return machine_.get(); }
+  /// The engine's own session's machine (the one Engine::Query runs on).
+  wam::Machine* machine() { return session_->machine(); }
   storage::PagedFile* paged_file() { return &file_; }
   storage::BufferPool* buffer_pool() { return &pool_; }
   /// The write-ahead log; nullptr without one (no db_path, options.wal
@@ -541,7 +545,6 @@ class Engine {
   storage::Wal* wal() { return wal_.get(); }
   edb::ClauseStore* clause_store() { return &clause_store_; }
   edb::Loader* loader() { return &loader_; }
-  edb::EdbResolver* resolver() { return &resolver_; }
   /// The bottom-up Datalog subsystem (strategy control, plan cache).
   /// Always constructed; queries route through it only while
   /// options().datalog is on.
@@ -600,29 +603,26 @@ class Engine {
   /// term-oriented evaluation, per paper §4.
   void RegisterEdbBuiltins();
 
-  /// What one query runs on: the engine's own machine, resolver and
-  /// query_active_ flag, or one session's.
-  struct QueryOwner {
-    wam::Machine* machine;
-    edb::EdbResolver* resolver;
-    bool* query_active;
-  };
+  /// Moves the engine's own session's writes into the base program; runs
+  /// right before every base mutation or freeze (no worker session open).
+  void FoldEngineSession() { session_->overlay_.FoldIntoBase(); }
 
-  /// The one body behind Engine::Query and Session::Query: opens `goal`
-  /// bottom-up or on the owner's machine and arms its observation.
-  base::Result<std::unique_ptr<Solutions>> OpenQuery(const QueryOwner& owner,
+  /// The one query path, behind Engine::Query (so Consult's directives
+  /// too) and Session::Query: opens `goal` bottom-up or on the owner's
+  /// machine and arms its observation.
+  base::Result<std::unique_ptr<Solutions>> OpenQuery(Session* owner,
                                                      std::string_view goal,
                                                      uint64_t trace_id);
 
-  /// Arms `solutions` with its retirement finalizer: it frees the owner,
-  /// records the latency since `watch` started, adds a session's machine
-  /// and resolver deltas to the engine's totals (the engine's own machine
-  /// and resolver already are them), and, when profiling or the slow-query
-  /// log demand it, files a QueryProfile built from the same deltas plus
+  /// Snapshots the owner's counters and returns the retirement finalizer
+  /// of the query about to open: it frees the owner, records the latency
+  /// since `watch` started, adds the owner's machine and resolver deltas
+  /// to the engine's totals, and, when profiling or the slow-query log
+  /// demand it, files a QueryProfile built from the same deltas plus
   /// engine-wide loader, cache and I/O diffs.
-  void AttachObservation(Solutions* solutions, std::string_view goal,
-                         const QueryOwner& owner,
-                         const base::Stopwatch& watch);
+  std::function<void(uint64_t)> ObserveQuery(std::string_view goal,
+                                             Session* owner,
+                                             const base::Stopwatch& watch);
 
   /// Files a finished profile under obs_mu_ and appends to the slow-query
   /// log if the query crossed options_.slow_query_ns. `digrams` (the
@@ -652,14 +652,12 @@ class Engine {
   std::unique_ptr<storage::Wal> wal_;
   edb::ClauseStore clause_store_;
   edb::Loader loader_;
-  edb::EdbResolver resolver_;
   /// Declared after clause_store_: destroyed first, so its mutation
   /// listener is removed while the store is still alive.
   std::unique_ptr<DatalogManager> datalog_;
-  std::unique_ptr<wam::Machine> machine_;
-  /// True while a Solutions from Engine::Query is alive (see Session's
-  /// twin flag; the engine's direct-query path is single-threaded).
-  bool query_active_ = false;
+  /// The engine's own session: Engine::Query and Consult's directives run
+  /// on it.
+  std::unique_ptr<Session> session_;
   /// Non-null iff options_.memory_budget_bytes > 0; constructed after the
   /// subsystems it steers, before the first query can retire.
   std::unique_ptr<MemoryGovernor> governor_;
@@ -682,10 +680,9 @@ class Engine {
   std::ostream* metrics_log_ = nullptr;  // nullptr -> std::cerr
   obs::AtomicHistogram query_latency_;
   mutable obs::TrackedMutex obs_mu_{EDUCE_LOCK_SITE("engine.obs")};
-  /// Counter deltas of retired session queries, added to the engine's own
-  /// machine and resolver counters by Stats().
-  wam::MachineStats session_machine_;
-  edb::ResolverStats session_resolver_;
+  /// Counter deltas of retired queries: Stats()'s machine and resolver.
+  wam::MachineStats machine_totals_;
+  edb::ResolverStats resolver_totals_;
   std::deque<obs::QueryProfile> recent_profiles_;  // bounded ring
   std::array<uint64_t, obs::kOpClassCount> op_class_totals_{};
   /// Engine-wide executed-digram totals (raw opcode bytes; mapped to

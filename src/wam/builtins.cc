@@ -727,7 +727,9 @@ BuiltinResult BuiltinRetract(Machine* m, uint32_t) {
     return Err(m, base::Status::TypeError("retract/1 head"));
   }
 
-  Program::Proc* proc = m->program()->FindMutable(functor);
+  // On an overlay the clause may live in the base; EraseClause shadows
+  // the procedure copy-on-write before erasing.
+  const Program::Proc* proc = m->program()->Find(functor);
   if (proc == nullptr) return BuiltinResult::kFalse;
 
   auto true_atom = dict->Intern("true", 0);

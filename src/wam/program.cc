@@ -261,14 +261,11 @@ base::Status Program::AddCompiled(CompiledClause compiled, bool front) {
   }
   // Copy-on-write: adding to a base-resident procedure first shadows it
   // locally so the shared base program is never mutated.
-  if (base_ != nullptr && procs_.find(compiled.functor) == procs_.end()) {
-    if (const Proc* base_proc = base_->Find(compiled.functor)) {
-      procs_[compiled.functor] = *base_proc;
-    }
-  }
-  Proc& proc = procs_[compiled.functor];
+  Proc* existing = LocalProcForWrite(compiled.functor);
+  Proc& proc = existing != nullptr ? *existing : procs_[compiled.functor];
   proc.functor = compiled.functor;
   proc.arity = compiled.arity;
+  proc.erased = false;
   StoredClause stored{
       std::make_shared<const ClauseCode>(std::move(compiled.code)),
       std::move(compiled.source)};
@@ -284,7 +281,7 @@ base::Status Program::AddCompiled(CompiledClause compiled, bool front) {
 
 Program::Proc* Program::LocalProcForWrite(dict::SymbolId functor) {
   auto it = procs_.find(functor);
-  if (it != procs_.end()) return &it->second;
+  if (it != procs_.end()) return it->second.erased ? nullptr : &it->second;
   if (base_ != nullptr) {
     if (const Proc* base_proc = base_->Find(functor)) {
       return &(procs_[functor] = *base_proc);
@@ -294,21 +291,18 @@ Program::Proc* Program::LocalProcForWrite(dict::SymbolId functor) {
 }
 
 base::Status Program::EraseProcedure(dict::SymbolId functor) {
-  auto it = procs_.find(functor);
-  const bool in_base = base_ != nullptr && base_->Find(functor) != nullptr;
-  if (it == procs_.end() && !in_base) {
+  if (Find(functor) == nullptr) {
     return base::Status::NotFound("no such procedure");
   }
-  if (it != procs_.end()) procs_.erase(it);
-  if (in_base) {
-    // The base cannot be touched: install an empty local shadow so the
-    // procedure resolves to a zero-clause (failing) definition here while
-    // other sessions still see the base's clauses.
+  procs_.erase(functor);
+  if (base_ != nullptr && base_->Find(functor) != nullptr) {
+    // The base cannot be touched: install an erased local shadow so the
+    // procedure is undefined here while other sessions still see the
+    // base's clauses.
     Proc& shadow = procs_[functor];
     shadow.functor = functor;
     shadow.arity = dictionary_->ArityOf(functor);
-    shadow.clauses.clear();
-    shadow.linked = nullptr;
+    shadow.erased = true;
   }
   return base::Status::OK();
 }
@@ -329,6 +323,7 @@ void Program::DeclareDynamic(dict::SymbolId functor) {
   Proc& proc = existing != nullptr ? *existing : procs_[functor];
   proc.functor = functor;
   proc.arity = dictionary_->ArityOf(functor);
+  proc.erased = false;
   proc.is_dynamic = true;
 }
 
@@ -338,19 +333,17 @@ void Program::ForEachProc(const std::function<void(const Proc&)>& fn) const {
 
 const Program::Proc* Program::Find(dict::SymbolId functor) const {
   auto it = procs_.find(functor);
-  if (it != procs_.end()) return &it->second;
+  if (it != procs_.end()) return it->second.erased ? nullptr : &it->second;
   return base_ != nullptr ? base_->Find(functor) : nullptr;
-}
-
-Program::Proc* Program::FindMutable(dict::SymbolId functor) {
-  auto it = procs_.find(functor);
-  return it == procs_.end() ? nullptr : &it->second;
 }
 
 base::Result<std::shared_ptr<const LinkedCode>> Program::Linked(
     dict::SymbolId functor) {
-  Proc* proc = FindMutable(functor);
-  if (proc == nullptr && base_ != nullptr) {
+  auto it = procs_.find(functor);
+  Proc* proc = nullptr;
+  if (it != procs_.end()) {
+    if (!it->second.erased) proc = &it->second;
+  } else if (base_ != nullptr) {
     if (const Proc* base_proc = base_->Find(functor)) {
       if (base_proc->linked != nullptr) return base_proc->linked;
       // The base was not frozen for this procedure. Shadow-copy and link
@@ -382,6 +375,18 @@ void Program::LinkAll() {
                                 fusion_enabled_);
     ++stats_.links_performed;
   }
+}
+
+void Program::FoldIntoBase() {
+  if (procs_.empty()) return;
+  for (auto& [functor, proc] : procs_) {
+    if (proc.erased) {
+      base_->procs_.erase(functor);
+    } else {
+      base_->procs_[functor] = std::move(proc);
+    }
+  }
+  procs_.clear();
 }
 
 void Program::SetIndexingEnabled(bool enabled) {

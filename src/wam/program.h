@@ -115,15 +115,18 @@ struct ProgramStats {
 /// pointer, never mutates).
 ///
 /// Overlays (DESIGN.md §10): a Program constructed with a `base` is a
-/// per-worker-session overlay. Lookups fall back to the base, the builtin
-/// table is shared with (borrowed from) the base, and every mutation is
+/// per-session overlay. Lookups fall back to the base, the builtin table
+/// is shared with (borrowed from) the base, and every mutation is
 /// copy-on-write — a base-resident procedure is shadow-copied into the
-/// overlay before the overlay changes it, so the base is never written.
-/// The owner must freeze the base (LinkAll(), then no further mutation)
-/// while any overlay is live; each overlay is then single-threaded and
-/// needs no locking of its own. Seed each overlay's aux counter with a
-/// disjoint range (SeedAuxCounter) so `$aux` functor names never collide
-/// across sessions — a collision would let one session's overlay
+/// overlay before the overlay changes it, and erasing one leaves an erased
+/// shadow, so the base is never written through an overlay. The only way
+/// an overlay's writes reach the base is FoldIntoBase(), which the owner
+/// runs while no other overlay of that base is live. The owner must
+/// freeze the base (LinkAll(), then no further mutation) while any other
+/// overlay is live; each overlay is then single-threaded and needs no
+/// locking of its own. Seed each overlay's aux counter with a disjoint
+/// range (SeedAuxCounter) so `$aux` functor names never collide across
+/// overlays or with the base's own — a collision would let one overlay
 /// shadow an auxiliary procedure that base code still calls.
 class Program {
  public:
@@ -155,6 +158,9 @@ class Program {
     std::vector<StoredClause> clauses;
     std::shared_ptr<const LinkedCode> linked;  // null when dirty
     bool is_dynamic = false;
+    /// Overlay only: a shadow that erases the base's procedure of this
+    /// functor (Find treats the procedure as undefined).
+    bool erased = false;
   };
 
   /// Compiles and installs a clause (and any auxiliary clauses its body
@@ -179,7 +185,6 @@ class Program {
   void DeclareDynamic(dict::SymbolId functor);
 
   const Proc* Find(dict::SymbolId functor) const;
-  Proc* FindMutable(dict::SymbolId functor);
 
   /// Visits every procedure stored in this program (an overlay visits its
   /// local shadow copies only, not the base). Iteration order is
@@ -200,6 +205,12 @@ class Program {
   /// overlay read of the base (Find / Linked) touches only immutable
   /// state.
   void LinkAll();
+
+  /// Overlay only: moves every local procedure into the base, replacing
+  /// the base's procedure of the same functor (an erased shadow erases
+  /// it), and leaves this overlay empty. The base must have no other live
+  /// overlay.
+  void FoldIntoBase();
 
   /// Enables/disables first-argument indexing at link time (Ablation C).
   /// Invalidates existing linked code.

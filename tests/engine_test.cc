@@ -585,6 +585,119 @@ TEST(EngineTest, SecondQueryWhileSolutionsActiveIsRefused) {
   EXPECT_TRUE(engine.query_active());
 }
 
+// A directive is a query on the engine's own session, so while an
+// Engine::Query Solutions is live it is refused like any second query,
+// and the live iterator keeps every answer.
+TEST(EngineTest, DirectiveWhileQueryLiveIsRefused) {
+  Engine engine;
+  ASSERT_TRUE(engine.Consult("p(1). p(2). p(3).").ok());
+  auto live = engine.Query("p(X)");
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_TRUE(*(*live)->Next());
+  EXPECT_EQ((*live)->Binding("X"), "1");
+
+  EXPECT_TRUE(engine.Consult(":- true.").IsFailedPrecondition());
+
+  ASSERT_TRUE(*(*live)->Next());
+  EXPECT_EQ((*live)->Binding("X"), "2");
+  ASSERT_TRUE(*(*live)->Next());
+  EXPECT_EQ((*live)->Binding("X"), "3");
+  EXPECT_FALSE(*(*live)->Next());
+  EXPECT_TRUE(engine.Consult(":- true.").ok());
+}
+
+// A live Engine::Query may bind atoms that only its machine's heap
+// references; a sweep then would free a slot the answer still names.
+TEST(EngineTest, CollectDictionaryRefusedWhileQueryLive) {
+  Engine engine;
+  auto live = engine.Query("atom_codes(A, \"zq_fresh_atom\"), B = A");
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_TRUE(*(*live)->Next());
+
+  EXPECT_TRUE(engine.CollectDictionary().status().IsFailedPrecondition());
+  EXPECT_EQ((*live)->Binding("A"), "zq_fresh_atom");
+  EXPECT_EQ((*live)->Binding("B"), "zq_fresh_atom");
+
+  live->reset();
+  auto removed = engine.CollectDictionary();
+  ASSERT_TRUE(removed.ok()) << removed.status();
+  EXPECT_GE(*removed, 1u);
+}
+
+// What the engine's own session writes (assert, retract, abolish) lands
+// in its overlay and reaches the base program through a fold right
+// before the base changes or freezes (DESIGN.md §10).
+TEST(EngineTest, EngineAssertsSurviveALaterConsult) {
+  Engine engine;
+  ASSERT_TRUE(engine.Consult("p(1).").ok());
+  ASSERT_TRUE(*engine.Succeeds("assertz(p(2))"));
+  ASSERT_TRUE(engine.Consult("p(3).").ok());
+  EXPECT_EQ(Bindings(&engine, "p(X)", "X"),
+            (std::vector<std::string>{"1", "2", "3"}));
+}
+
+TEST(EngineTest, EngineAssertIsVisibleToTheFirstSession) {
+  Engine engine;
+  ASSERT_TRUE(engine.Consult("p(1).").ok());
+  ASSERT_TRUE(*engine.Succeeds("assertz(p(2)), retract(p(1))"));
+  auto session = engine.OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto first = (*session)->Query("p(X)");
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(*(*first)->Next());
+  EXPECT_EQ((*first)->Binding("X"), "2");
+  EXPECT_FALSE(*(*first)->Next());
+}
+
+TEST(EngineTest, EngineAbolishThenConsultLeavesOnlyTheNewClauses) {
+  Engine engine;
+  ASSERT_TRUE(engine.Consult("q(1). q(2).").ok());
+  ASSERT_TRUE(*engine.Succeeds("abolish(q/1)"));
+  // Abolished is undefined, as on the base program itself.
+  EXPECT_TRUE(engine.Succeeds("q(_)").status().IsNotFound());
+  ASSERT_TRUE(engine.Consult("q(9).").ok());
+  EXPECT_EQ(Bindings(&engine, "q(X)", "X"), (std::vector<std::string>{"9"}));
+}
+
+TEST(EngineTest, RetractedToEmptyStaysDefinedAfterFold) {
+  Engine engine;
+  ASSERT_TRUE(engine.Consult("r(1).").ok());
+  ASSERT_TRUE(*engine.Succeeds("retract(r(1))"));
+  ASSERT_TRUE(engine.Consult("other(1).").ok());
+  auto any = engine.Succeeds("r(_)");
+  ASSERT_TRUE(any.ok()) << any.status();
+  EXPECT_FALSE(*any);
+}
+
+// Control constructs compile to `$aux` procedures. The base program, the
+// engine's own session and each worker session draw their names from
+// disjoint ranges, so a rule asserted on either side of a fold never
+// shadows another's auxiliary procedure.
+TEST(EngineTest, AuxProceduresFromEngineAndSessionStayDisjoint) {
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .Consult("n(1). n(-2).\n"
+                           "kind(X, K) :- (X > 0 -> K = plus ; K = minus).")
+                  .ok());
+  ASSERT_TRUE(*engine.Succeeds(
+      "assertz((sign(X, S) :- (X > 0 -> S = pos ; S = neg)))"));
+  auto session = engine.OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status();
+  ASSERT_TRUE(*(*session)->Succeeds(
+      "assertz((mag(X, M) :- (X > 0 -> M = X ; M is -X)))"));
+  const char* goal = "findall(t(K, S, M), (n(X), kind(X, K), sign(X, S), "
+                     "mag(X, M)), L)";
+  auto from_session = (*session)->Query(goal);
+  ASSERT_TRUE(from_session.ok()) << from_session.status();
+  ASSERT_TRUE(*(*from_session)->Next());
+  EXPECT_EQ((*from_session)->Binding("L"),
+            "[t(plus,pos,1),t(minus,neg,2)]");
+  EXPECT_EQ(
+      Bindings(&engine, "findall(t(K, S), (n(X), kind(X, K), sign(X, S)), L)",
+               "L"),
+      (std::vector<std::string>{"[t(plus,pos),t(minus,neg)]"}));
+}
+
 TEST(EngineTest, SecondSessionQueryWhileSolutionsActiveIsRefused) {
   Engine engine;
   ASSERT_TRUE(engine.Consult("p(1). p(2).").ok());

@@ -317,7 +317,10 @@ TEST(ParallelTest, EngineOpsRefusedWhileSessionsActive) {
   ASSERT_TRUE(session.ok());
   EXPECT_EQ(engine.active_sessions(), 1u);
 
-  EXPECT_TRUE(engine.Query("p(X)").status().IsFailedPrecondition());
+  // Engine::Query runs on the engine's own session, beside worker ones.
+  auto answered = engine.CountSolutions("p(X)");
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_EQ(*answered, 1u);
   EXPECT_TRUE(engine.Consult("p(2).").IsFailedPrecondition());
   EXPECT_TRUE(engine.CollectDictionary().status().IsFailedPrecondition());
   // Control constructs need aux clauses in the frozen base program.
@@ -334,6 +337,99 @@ TEST(ParallelTest, EngineOpsRefusedWhileSessionsActive) {
   EXPECT_EQ(engine.active_sessions(), 0u);
   EXPECT_TRUE(engine.Query("p(X)").ok());
   EXPECT_TRUE(engine.Consult("p(2).").ok());
+}
+
+namespace {
+// Every answer of `goal`, sorted ("" per solution without named
+// variables); `query` opens it on some owner.
+template <typename Owner>
+std::vector<std::string> SortedAnswers(Owner* owner, const std::string& goal) {
+  std::vector<std::string> out;
+  auto solutions = owner->Query(goal);
+  if (!solutions.ok()) return {"error: " + solutions.status().ToString()};
+  while (true) {
+    auto more = (*solutions)->Next();
+    if (!more.ok()) return {"error: " + more.status().ToString()};
+    if (!*more) break;
+    std::string row;
+    for (const auto& [name, value] : (*solutions)->All()) {
+      row += name + "=" + value + " ";
+    }
+    out.push_back(std::move(row));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+}  // namespace
+
+// Engine::Query runs on the engine's own session while 3 worker sessions
+// query on threads and a fourth writes the EDB (edb_assert into another
+// relation): every answer equals the same goal's answer with no session
+// open. Runs in the TSan sweep.
+TEST(ParallelTest, EngineQueryAnswersBesideBusySessions) {
+  Engine engine;
+  constexpr int kRows = 60;
+  ASSERT_TRUE(engine.DeclareRelation("item", 2).ok());
+  ASSERT_TRUE(engine.StoreFactsExternal(ItemFacts(kRows)).ok());
+  ASSERT_TRUE(engine.StoreRulesExternal("pair(X, Y) :- item(X, Y).").ok());
+  ASSERT_TRUE(engine
+                  .Consult("even(X) :- item(X, _), (X mod 2 =:= 0 -> true ; "
+                           "fail).\n"
+                           "small(X) :- member(X, [1, 2, 3]).")
+                  .ok());
+  const std::vector<std::string> goals = {
+      "item(7, Y)", "pair(X, 20)", "even(X)",
+      "findall(Y, item(_, Y), L), length(L, N)", "small(X), item(X, Y)"};
+  std::vector<std::vector<std::string>> want;
+  for (const std::string& goal : goals) {
+    want.push_back(SortedAnswers(&engine, goal));
+    ASSERT_FALSE(want.back().empty()) << goal;
+  }
+
+  constexpr int kReaders = 3;
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (int w = 0; w < kReaders + 1; ++w) {
+    auto session = engine.OpenSession();
+    ASSERT_TRUE(session.ok()) << session.status();
+    sessions.push_back(std::move(*session));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> attempts{0};
+  std::atomic<uint64_t> written{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kReaders; ++w) {
+    threads.emplace_back([&, w, session = sessions[w].get()] {
+      for (size_t i = w; !done.load(); ++i) {
+        const size_t g = i % goals.size();
+        if (SortedAnswers(session, goals[g]) != want[g]) ++failures;
+      }
+    });
+  }
+  threads.emplace_back([&, writer = sessions[kReaders].get()] {
+    for (int i = 0; !done.load(); ++i) {
+      auto ok = writer->Succeeds("edb_assert(log(" + std::to_string(i) + "))");
+      if (ok.ok() && *ok) {
+        ++written;
+      } else {
+        ++failures;
+      }
+      ++attempts;
+    }
+  });
+  // At least 20 rounds, and until the writer has run beside them.
+  for (int round = 0; round < 20 || attempts.load() < 10; ++round) {
+    for (size_t g = 0; g < goals.size(); ++g) {
+      EXPECT_EQ(SortedAnswers(&engine, goals[g]), want[g]) << goals[g];
+    }
+  }
+  done.store(true);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  sessions.clear();
+  auto logged = engine.CountSolutions("log(X)");
+  ASSERT_TRUE(logged.ok()) << logged.status();
+  EXPECT_EQ(*logged, written.load());
 }
 
 TEST(ParallelTest, CloseRefusedWhileSessionsActive) {
