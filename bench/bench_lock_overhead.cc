@@ -3,12 +3,15 @@
 //
 //  1. Structural dormancy — with the runtime gate off, a workload
 //     hammering TrackedMutex/TrackedSharedMutex sites must leave every
-//     site counter at exactly zero. The disabled profiler does not
-//     merely stay cheap, it provably records nothing.
-//  2. Overhead — compiled in but disabled, a lock/work/unlock loop with
-//     a ~1us critical section must cost within 2% of the same loop over
-//     a raw std::mutex (min-of-reps on both sides). This is the bar
-//     that keeps EDUCE_LOCK_PROFILING=ON builds honest baselines.
+//     site counter at exactly zero and push nothing onto any thread's
+//     shared-hold stack. The disabled profiler does not merely stay
+//     cheap, it provably records nothing.
+//  2. Overhead — with the gate off, a lock/work/unlock loop with a ~1us
+//     critical section must cost within 2% of the same loop over the raw
+//     std mutex (median of paired per-rep ratios). Two legs: TrackedMutex
+//     lock/unlock against std::mutex, and TrackedSharedMutex
+//     lock_shared/unlock_shared against std::shared_mutex. This is the
+//     bar that lets every build carry the profiler.
 //  3. Ranking — with the gate on, four threads hammering one mutex
 //     (sleeping while holding) versus an uncontended control, the
 //     hammered site must come out as TopContended(1)[0] with nonzero
@@ -20,12 +23,14 @@
 // (the Prometheus text exposition).
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,6 +77,15 @@ uint64_t SpinWork(uint64_t seed) {
   return x;
 }
 
+/// Presents the shared side of a SharedLockable as lock()/unlock(), so
+/// the shared leg runs through the same TimedRep loop.
+template <typename Mutex>
+struct SharedSide {
+  Mutex* mu;
+  void lock() { mu->lock_shared(); }
+  void unlock() { mu->unlock_shared(); }
+};
+
 /// One timed rep of the lock/work/unlock loop over any Lockable.
 template <typename Mutex>
 uint64_t TimedRep(Mutex* mu, uint64_t* sink) {
@@ -94,9 +108,9 @@ uint64_t TimedRep(Mutex* mu, uint64_t* sink) {
 /// — on a busy one-core host either alone can exceed the 2% bar this
 /// gate enforces. Pairing kills the drift; the median kills the
 /// outliers. The per-side minimums are also returned for reporting.
-double InterleavedRatio(std::mutex* raw, obs::TrackedMutex* tracked,
-                        uint64_t* sink, uint64_t* raw_best,
-                        uint64_t* tracked_best) {
+template <typename Raw, typename Tracked>
+double InterleavedRatio(Raw* raw, Tracked* tracked, uint64_t* sink,
+                        uint64_t* raw_best, uint64_t* tracked_best) {
   *raw_best = UINT64_MAX;
   *tracked_best = UINT64_MAX;
   std::vector<double> ratios;
@@ -129,19 +143,27 @@ bool DormancyCheck() {
   auto* shared_site = obs::RegisterLockSite("bench.dormant_shared", __FILE__, 0);
   obs::TrackedMutex excl(excl_site);
   obs::TrackedSharedMutex shared(shared_site);
+  std::atomic<bool> stack_ok{true};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&excl, &shared] {
+    threads.emplace_back([&excl, &shared, &stack_ok] {
       for (int i = 0; i < 5000; ++i) {
         excl.lock();
         excl.unlock();
         shared.lock_shared();
+        if (obs::lock_internal::t_shared_hold_count != 0) stack_ok = false;
         shared.unlock_shared();
+        if (shared.try_lock_shared()) shared.unlock_shared();
         if (excl.try_lock()) excl.unlock();
       }
     });
   }
   for (auto& t : threads) t.join();
+  if (!stack_ok) {
+    std::fprintf(stderr, "FATAL dormancy violated: a shared hold taken with "
+                         "the gate off pushed onto the hold stack\n");
+    return false;
+  }
   for (const LockSiteStats& s : LockProfiler::Snapshot()) {
     if (s.name != "bench.dormant_excl" && s.name != "bench.dormant_shared") {
       continue;
@@ -166,7 +188,6 @@ bool DormancyCheck() {
 // --- check 3: contention ranking ------------------------------------------
 
 bool RankingCheck() {
-  if (!LockProfiler::compiled_in()) return true;  // nothing to rank
   LockProfiler::Reset();
   LockProfiler::SetEnabled(true);
   auto* hot_site = obs::RegisterLockSite("bench.hot", __FILE__, 0);
@@ -213,7 +234,7 @@ bool RankingCheck() {
 uint64_t ArtifactWorkload() {
   EngineOptions options;
   options.profiling = true;
-  options.lock_profiling = true;  // no effect when compiled out
+  options.lock_profiling = true;
   Engine engine(options);
   Check(engine.DeclareRelation("edge", 2), "declare edge");
   std::string facts;
@@ -244,67 +265,96 @@ uint64_t ArtifactWorkload() {
   return solutions;
 }
 
+/// One overhead leg: the raw mutex vs the (disabled) tracked wrapper.
+struct OverheadLeg {
+  double ratio = 0.0;
+  uint64_t raw_ns = 0;
+  uint64_t tracked_ns = 0;
+  bool ok() const { return ratio > 0.0 && ratio <= kOverheadBar; }
+  std::string Detail() const {
+    char detail[96];
+    std::snprintf(detail, sizeof(detail),
+                  "%.1f vs %.1f ns/iter (ratio %.4f, bar %.2f)",
+                  static_cast<double>(tracked_ns) / kOverheadIters,
+                  static_cast<double>(raw_ns) / kOverheadIters, ratio,
+                  kOverheadBar);
+    return detail;
+  }
+};
+
+template <typename Raw, typename Tracked>
+OverheadLeg MeasureOverhead(Raw* raw, Tracked* tracked) {
+  LockProfiler::SetEnabled(false);
+  uint64_t sink = 1;
+  // Warm both paths once before timing.
+  (void)TimedRep(raw, &sink);
+  (void)TimedRep(tracked, &sink);
+  OverheadLeg leg;
+  leg.ratio =
+      InterleavedRatio(raw, tracked, &sink, &leg.raw_ns, &leg.tracked_ns);
+  return leg;
+}
+
 int Run() {
   const bool dormant_ok = DormancyCheck();
 
-  // Overhead: raw std::mutex vs the (disabled) tracked wrapper.
-  LockProfiler::SetEnabled(false);
   std::mutex raw;
-  auto* site = obs::RegisterLockSite("bench.overhead", __FILE__, 0);
-  obs::TrackedMutex tracked(site);
-  uint64_t sink = 1;
-  // Warm both paths once before timing.
-  (void)TimedRep(&raw, &sink);
-  (void)TimedRep(&tracked, &sink);
-  uint64_t raw_ns, tracked_ns;
-  const double ratio =
-      InterleavedRatio(&raw, &tracked, &sink, &raw_ns, &tracked_ns);
-  const bool overhead_ok = ratio > 0.0 && ratio <= kOverheadBar;
+  obs::TrackedMutex tracked(
+      obs::RegisterLockSite("bench.overhead", __FILE__, 0));
+  const OverheadLeg excl = MeasureOverhead(&raw, &tracked);
+  std::shared_mutex raw_shared;
+  obs::TrackedSharedMutex tracked_shared(
+      obs::RegisterLockSite("bench.overhead_shared", __FILE__, 0));
+  SharedSide<std::shared_mutex> raw_shared_side{&raw_shared};
+  SharedSide<obs::TrackedSharedMutex> tracked_shared_side{&tracked_shared};
+  const OverheadLeg shared =
+      MeasureOverhead(&raw_shared_side, &tracked_shared_side);
+  const bool overhead_ok = excl.ok();
+  const bool shared_overhead_ok = shared.ok();
 
   const bool rank_ok = RankingCheck();
   const uint64_t solutions = ArtifactWorkload();
   const size_t lock_sites = LockProfiler::Snapshot().size();
 
-  Table table("Lock profiler cost gates (compiled " +
-              std::string(LockProfiler::compiled_in() ? "in" : "out") + ")");
+  Table table("Lock profiler cost gates");
   table.Header({"check", "result", "detail"});
   table.Row({"dormancy", dormant_ok ? "ok" : "FAIL",
-             LockProfiler::compiled_in() ? "all site counters zero"
-                                         : "compiled out (vacuous)"});
-  char detail[96];
-  std::snprintf(detail, sizeof(detail),
-                "%.1f vs %.1f ns/iter (ratio %.4f, bar %.2f)",
-                static_cast<double>(tracked_ns) / kOverheadIters,
-                static_cast<double>(raw_ns) / kOverheadIters, ratio,
-                kOverheadBar);
-  table.Row({"overhead", overhead_ok ? "ok" : "FAIL", detail});
+             "all site counters zero, no shared hold pushed"});
+  table.Row({"overhead", overhead_ok ? "ok" : "FAIL", excl.Detail()});
+  table.Row({"shared overhead", shared_overhead_ok ? "ok" : "FAIL",
+             shared.Detail()});
   table.Row({"ranking", rank_ok ? "ok" : "FAIL",
-             LockProfiler::compiled_in() ? "bench.hot tops TopContended(1)"
-                                         : "compiled out (vacuous)"});
+             "bench.hot tops TopContended(1)"});
   table.Print();
 
   BenchJson json;
   json.Add("bench", std::string("lock_overhead"));
   json.AddHostCores();
   json.AddToolchain();
-  json.Add("lock_profiling_compiled",
-           static_cast<uint64_t>(LockProfiler::compiled_in() ? 1 : 0));
   json.Add("solutions", solutions);
   json.Add("lock_sites", static_cast<uint64_t>(lock_sites));
-  json.Add("raw_ns_per_iter", static_cast<double>(raw_ns) / kOverheadIters);
+  json.Add("raw_ns_per_iter",
+           static_cast<double>(excl.raw_ns) / kOverheadIters);
   json.Add("tracked_ns_per_iter",
-           static_cast<double>(tracked_ns) / kOverheadIters);
-  json.Add("overhead_ratio", ratio);
+           static_cast<double>(excl.tracked_ns) / kOverheadIters);
+  json.Add("overhead_ratio", excl.ratio);
+  json.Add("shared_raw_ns_per_iter",
+           static_cast<double>(shared.raw_ns) / kOverheadIters);
+  json.Add("shared_tracked_ns_per_iter",
+           static_cast<double>(shared.tracked_ns) / kOverheadIters);
+  json.Add("shared_overhead_ratio", shared.ratio);
   json.Add("dormant_ok", static_cast<uint64_t>(dormant_ok ? 1 : 0));
   json.Add("overhead_ok", static_cast<uint64_t>(overhead_ok ? 1 : 0));
+  json.Add("shared_overhead_ok",
+           static_cast<uint64_t>(shared_overhead_ok ? 1 : 0));
   json.Add("rank_ok", static_cast<uint64_t>(rank_ok ? 1 : 0));
   json.Print();
 
-  if (!dormant_ok || !overhead_ok || !rank_ok) {
+  if (!dormant_ok || !overhead_ok || !shared_overhead_ok || !rank_ok) {
     std::fflush(stdout);
     std::fprintf(stderr, "FATAL lock profiler gate failed (dormant=%d "
-                         "overhead=%d rank=%d)\n",
-                 dormant_ok, overhead_ok, rank_ok);
+                         "overhead=%d shared_overhead=%d rank=%d)\n",
+                 dormant_ok, overhead_ok, shared_overhead_ok, rank_ok);
     std::abort();
   }
   return 0;

@@ -21,8 +21,7 @@
 //     overlap onto.
 //
 // `bench_parallel --lock-profile` also turns the lock profiler on around
-// the Wisconsin section and prints LockProfiler::ToJson after it. The
-// profile has content only in an EDUCE_LOCK_PROFILING=ON build.
+// the Wisconsin section and prints LockProfiler::ToJson after it.
 
 #include <algorithm>
 #include <cstdio>
@@ -198,11 +197,6 @@ int Main(int argc, char** argv) {
   table.Header({"workload", "workers", "wall ms", "goals/s", "speedup",
                 "solutions"});
   if (lock_profile) {
-    if (!obs::LockProfiler::compiled_in()) {
-      std::printf(
-          "NOTE: --lock-profile needs an EDUCE_LOCK_PROFILING=ON build; "
-          "the profile below is empty\n");
-    }
     obs::LockProfiler::Reset();
     obs::LockProfiler::SetEnabled(true);
   }

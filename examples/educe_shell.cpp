@@ -79,14 +79,9 @@ void RunQuery(educe::Engine* engine, const std::string& goal) {
   else if (solutions == 20) std::printf("... (stopped after 20 solutions)\n");
 }
 
-// :locks — the top contended lock sites, worst first. Meaningful only in
-// an EDUCE_LOCK_PROFILING build with the gate on; says so otherwise.
+// :locks — the top contended lock sites, worst first. Counts only
+// accrue while the gate is on; says so when it is off.
 void PrintLocks() {
-  if (!educe::obs::LockProfiler::compiled_in()) {
-    std::printf("lock profiling not compiled in "
-                "(configure with -DEDUCE_LOCK_PROFILING=ON)\n");
-    return;
-  }
   if (!educe::obs::LockProfiler::enabled()) {
     std::printf("lock profiling is off (':locks on' to enable)\n");
   }
@@ -332,10 +327,7 @@ int main(int argc, char** argv) {
         const std::string arg = Trim(rest);
         if (arg == "on" || arg == "off") {
           educe::obs::LockProfiler::SetEnabled(arg == "on");
-          std::printf("lock profiling %s%s\n", arg.c_str(),
-                      educe::obs::LockProfiler::compiled_in()
-                          ? ""
-                          : " (no effect: not compiled in)");
+          std::printf("lock profiling %s\n", arg.c_str());
         } else {
           PrintLocks();
         }

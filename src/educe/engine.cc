@@ -1284,8 +1284,7 @@ std::string Engine::ExportMetricsJson() {
     out += "]}";
   }
   // Lock-site contention (DESIGN.md §16.1): per-site wait/hold histograms
-  // plus the top-contended ranking. With EDUCE_LOCK_PROFILING compiled
-  // out this is a constant {"compiled":false,...,"sites":[]}.
+  // plus the top-contended ranking.
   out += ",\"locks\":" + obs::LockProfiler::ToJson();
   out += ",\"memory\":{";
   out += "\"buffer_resident_bytes\":" + num(stats.memory.buffer_resident_bytes);

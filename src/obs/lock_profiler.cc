@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -11,8 +12,6 @@
 #include "obs/trace.h"
 
 namespace educe::obs {
-
-#if defined(EDUCE_LOCK_PROFILING)
 
 namespace {
 
@@ -81,6 +80,7 @@ void RecordWait(LockSite* site, uint64_t wait_ns) {
 
 void PushSharedHold(const void* mutex, uint64_t start_ns) {
   t_shared_holds.emplace_back(mutex, start_ns);
+  ++t_shared_hold_count;
 }
 
 bool PopSharedHold(const void* mutex, uint64_t* start_ns) {
@@ -89,6 +89,7 @@ bool PopSharedHold(const void* mutex, uint64_t* start_ns) {
     if (holds[i].first == mutex) {
       *start_ns = holds[i].second;
       holds.erase(holds.begin() + static_cast<ptrdiff_t>(i));
+      --t_shared_hold_count;
       return true;
     }
   }
@@ -173,18 +174,6 @@ std::string LockProfiler::SiteName(uint64_t id) {
   return registry.sites[static_cast<size_t>(id)]->name;
 }
 
-#else  // !EDUCE_LOCK_PROFILING
-
-void LockProfiler::SetEnabled(bool) {}
-bool LockProfiler::enabled() { return false; }
-void LockProfiler::Reset() {}
-std::vector<LockSiteStats> LockProfiler::Snapshot() { return {}; }
-void LockProfiler::AttachTracer(Tracer*) {}
-void LockProfiler::DetachTracer(Tracer*) {}
-std::string LockProfiler::SiteName(uint64_t) { return ""; }
-
-#endif  // EDUCE_LOCK_PROFILING
-
 std::vector<LockSiteStats> LockProfiler::TopContended(size_t k) {
   std::vector<LockSiteStats> sites = Snapshot();
   std::sort(sites.begin(), sites.end(),
@@ -199,17 +188,9 @@ std::vector<LockSiteStats> LockProfiler::TopContended(size_t k) {
 }
 
 std::string LockProfiler::ToJson(size_t top_k) {
-  std::vector<LockSiteStats> sites = Snapshot();
-  std::sort(sites.begin(), sites.end(),
-            [](const LockSiteStats& a, const LockSiteStats& b) {
-              if (a.wait_total_ns() != b.wait_total_ns()) {
-                return a.wait_total_ns() > b.wait_total_ns();
-              }
-              return a.id < b.id;
-            });
-  std::string out = "{\"compiled\":";
-  out += compiled_in() ? "true" : "false";
-  out += ",\"enabled\":";
+  const std::vector<LockSiteStats> sites =
+      TopContended(std::numeric_limits<size_t>::max());
+  std::string out = "{\"enabled\":";
   out += enabled() ? "true" : "false";
   out += ",\"sites\":[";
   char buf[160];

@@ -24,14 +24,14 @@ class Tracer;
 /// locks are one site, not sixteen). Samples land in AtomicHistograms
 /// via relaxed atomics, so recording never takes a lock of its own.
 ///
-/// Two gates keep the instrumented engine honest as a baseline:
-///  - compile-time: the `EDUCE_LOCK_PROFILING` CMake option. When OFF
-///    the wrappers are plain std mutexes — no site registry, no
-///    timestamps, no atomics, zero overhead.
-///  - runtime: `LockProfiler::SetEnabled`. When compiled in but
-///    disabled, the cost per acquisition is one relaxed load and a
-///    branch (bench_lock_overhead hard-aborts if the measured overhead
-///    exceeds 2%).
+/// One runtime gate, `LockProfiler::SetEnabled` (EngineOptions::
+/// lock_profiling forwards to it), decides whether anything records.
+/// Disabled, an acquisition costs one relaxed load and a branch, and a
+/// shared release one thread-local load and a branch (the count of
+/// shared holds this thread pushed, zero unless it held a lock while
+/// the gate was on). bench_lock_overhead aborts if a disabled
+/// exclusive or shared lock/unlock pair costs more than 2% over the raw
+/// std mutex.
 ///
 /// A deliberately narrow hold-time contract: exclusive holds are timed
 /// through a member timestamp (written and read only while the lock is
@@ -56,18 +56,9 @@ struct LockSiteStats {
   uint64_t hold_total_ns() const { return hold_ns.sum(); }
 };
 
-/// Static facade over the process-wide site registry. All methods are
-/// safe to call whether or not the profiler is compiled in; with it
-/// compiled out they are no-ops returning empty data.
+/// Static facade over the process-wide site registry.
 class LockProfiler {
  public:
-#if defined(EDUCE_LOCK_PROFILING)
-  static constexpr bool kCompiledIn = true;
-#else
-  static constexpr bool kCompiledIn = false;
-#endif
-  static constexpr bool compiled_in() { return kCompiledIn; }
-
   static void SetEnabled(bool on);
   static bool enabled();
 
@@ -79,7 +70,7 @@ class LockProfiler {
   static std::vector<LockSiteStats> Snapshot();
   /// Top `k` sites by total wait time, descending; ties by id.
   static std::vector<LockSiteStats> TopContended(size_t k);
-  /// {"compiled":b,"enabled":b,"sites":[...all, by wait desc...],
+  /// {"enabled":b,"sites":[...all, by wait desc...],
   ///  "top_contended":[...names of the top_k...]}
   static std::string ToJson(size_t top_k = 8);
 
@@ -93,8 +84,6 @@ class LockProfiler {
   /// Site name for a kLockWait span's detail field; "" if unknown.
   static std::string SiteName(uint64_t id);
 };
-
-#if defined(EDUCE_LOCK_PROFILING)
 
 /// One registry entry. Never destroyed (the registry leaks by design so
 /// mutexes with static storage duration can record during shutdown).
@@ -123,6 +112,9 @@ inline bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 uint64_t NowNs();
 /// Wait-histogram sample plus the kLockWait tracer span for long waits.
 void RecordWait(LockSite* site, uint64_t wait_ns);
+/// Entries on this thread's shared-hold stack. Inline so a dormant
+/// unlock_shared tests it without a call into lock_profiler.cc.
+inline thread_local uint32_t t_shared_hold_count = 0;
 void PushSharedHold(const void* mutex, uint64_t start_ns);
 bool PopSharedHold(const void* mutex, uint64_t* start_ns);
 }  // namespace lock_internal
@@ -134,15 +126,18 @@ bool PopSharedHold(const void* mutex, uint64_t* start_ns);
 #define EDUCE_LOCK_SITE(name) \
   ::educe::obs::RegisterLockSite((name), __FILE__, __LINE__)
 
-/// std::mutex satisfying Lockable, with per-site wait/hold accounting.
-class TrackedMutex {
+/// A std mutex satisfying Lockable, with per-site wait/hold accounting.
+/// `Std` is std::mutex for TrackedMutex and std::shared_mutex for the
+/// exclusive side of TrackedSharedMutex.
+template <typename Std>
+class BasicTrackedMutex {
  public:
-  explicit TrackedMutex(LockSite* site) : site_(site) {}
-  TrackedMutex(const TrackedMutex&) = delete;
-  TrackedMutex& operator=(const TrackedMutex&) = delete;
+  explicit BasicTrackedMutex(LockSite* site) : site_(site) {}
+  BasicTrackedMutex(const BasicTrackedMutex&) = delete;
+  BasicTrackedMutex& operator=(const BasicTrackedMutex&) = delete;
 
   void lock() {
-    if (!lock_internal::Enabled() || site_ == nullptr) {
+    if (!lock_internal::Enabled()) {
       mu_.lock();
       hold_start_ns_ = 0;
       return;
@@ -161,7 +156,7 @@ class TrackedMutex {
 
   bool try_lock() {
     if (!mu_.try_lock()) return false;
-    if (lock_internal::Enabled() && site_ != nullptr) {
+    if (lock_internal::Enabled()) {
       site_->exclusive_acquires.fetch_add(1, std::memory_order_relaxed);
       lock_internal::RecordWait(site_, 0);
       hold_start_ns_ = lock_internal::NowNs();
@@ -172,69 +167,33 @@ class TrackedMutex {
   }
 
   void unlock() {
-    if (hold_start_ns_ != 0 && site_ != nullptr) {
+    if (hold_start_ns_ != 0) {
       site_->hold_ns.Record(lock_internal::NowNs() - hold_start_ns_);
       hold_start_ns_ = 0;
     }
     mu_.unlock();
   }
 
- private:
-  std::mutex mu_;
+ protected:
+  Std mu_;
   LockSite* site_;
-  uint64_t hold_start_ns_ = 0;  // only touched while mu_ is held
+
+ private:
+  uint64_t hold_start_ns_ = 0;  // only touched while held exclusively
 };
+
+using TrackedMutex = BasicTrackedMutex<std::mutex>;
 
 /// std::shared_mutex satisfying SharedLockable, with per-site
 /// accounting. Shared holds are timed via a per-thread stack keyed by
 /// mutex address (see file comment); an entry pushed before the runtime
 /// gate flipped off is still popped, so the stack never leaks.
-class TrackedSharedMutex {
+class TrackedSharedMutex : public BasicTrackedMutex<std::shared_mutex> {
  public:
-  explicit TrackedSharedMutex(LockSite* site) : site_(site) {}
-  TrackedSharedMutex(const TrackedSharedMutex&) = delete;
-  TrackedSharedMutex& operator=(const TrackedSharedMutex&) = delete;
-
-  void lock() {
-    if (!lock_internal::Enabled() || site_ == nullptr) {
-      mu_.lock();
-      hold_start_ns_ = 0;
-      return;
-    }
-    uint64_t wait = 0;
-    if (!mu_.try_lock()) {
-      const uint64_t t0 = lock_internal::NowNs();
-      mu_.lock();
-      wait = lock_internal::NowNs() - t0;
-      site_->contended.fetch_add(1, std::memory_order_relaxed);
-    }
-    site_->exclusive_acquires.fetch_add(1, std::memory_order_relaxed);
-    lock_internal::RecordWait(site_, wait);
-    hold_start_ns_ = lock_internal::NowNs();
-  }
-
-  bool try_lock() {
-    if (!mu_.try_lock()) return false;
-    if (lock_internal::Enabled() && site_ != nullptr) {
-      site_->exclusive_acquires.fetch_add(1, std::memory_order_relaxed);
-      lock_internal::RecordWait(site_, 0);
-      hold_start_ns_ = lock_internal::NowNs();
-    } else {
-      hold_start_ns_ = 0;
-    }
-    return true;
-  }
-
-  void unlock() {
-    if (hold_start_ns_ != 0 && site_ != nullptr) {
-      site_->hold_ns.Record(lock_internal::NowNs() - hold_start_ns_);
-      hold_start_ns_ = 0;
-    }
-    mu_.unlock();
-  }
+  using BasicTrackedMutex::BasicTrackedMutex;
 
   void lock_shared() {
-    if (!lock_internal::Enabled() || site_ == nullptr) {
+    if (!lock_internal::Enabled()) {
       mu_.lock_shared();
       return;
     }
@@ -252,7 +211,7 @@ class TrackedSharedMutex {
 
   bool try_lock_shared() {
     if (!mu_.try_lock_shared()) return false;
-    if (lock_internal::Enabled() && site_ != nullptr) {
+    if (lock_internal::Enabled()) {
       site_->shared_acquires.fetch_add(1, std::memory_order_relaxed);
       lock_internal::RecordWait(site_, 0);
       lock_internal::PushSharedHold(this, lock_internal::NowNs());
@@ -260,62 +219,18 @@ class TrackedSharedMutex {
     return true;
   }
 
+  /// Pops the hold stack only when this thread has pushed onto it, so a
+  /// dormant release never calls out of line. Testing the gate here
+  /// instead would leak the entry of a hold that began while enabled.
   void unlock_shared() {
     uint64_t start = 0;
-    if (site_ != nullptr && lock_internal::PopSharedHold(this, &start)) {
+    if (lock_internal::t_shared_hold_count != 0 &&
+        lock_internal::PopSharedHold(this, &start)) {
       site_->hold_ns.Record(lock_internal::NowNs() - start);
     }
     mu_.unlock_shared();
   }
-
- private:
-  std::shared_mutex mu_;
-  LockSite* site_;
-  uint64_t hold_start_ns_ = 0;  // only touched while held exclusively
 };
-
-#else  // !EDUCE_LOCK_PROFILING
-
-struct LockSite;  // never defined; the null pointer is the only value
-
-inline LockSite* RegisterLockSite(const char*, const char*, int) {
-  return nullptr;
-}
-
-#define EDUCE_LOCK_SITE(name) (static_cast<::educe::obs::LockSite*>(nullptr))
-
-/// Compiled-out wrappers: plain std mutexes behind the same API, so
-/// call sites are identical in both build modes.
-class TrackedMutex {
- public:
-  explicit TrackedMutex(LockSite*) {}
-  TrackedMutex(const TrackedMutex&) = delete;
-  TrackedMutex& operator=(const TrackedMutex&) = delete;
-  void lock() { mu_.lock(); }
-  bool try_lock() { return mu_.try_lock(); }
-  void unlock() { mu_.unlock(); }
-
- private:
-  std::mutex mu_;
-};
-
-class TrackedSharedMutex {
- public:
-  explicit TrackedSharedMutex(LockSite*) {}
-  TrackedSharedMutex(const TrackedSharedMutex&) = delete;
-  TrackedSharedMutex& operator=(const TrackedSharedMutex&) = delete;
-  void lock() { mu_.lock(); }
-  bool try_lock() { return mu_.try_lock(); }
-  void unlock() { mu_.unlock(); }
-  void lock_shared() { mu_.lock_shared(); }
-  bool try_lock_shared() { return mu_.try_lock_shared(); }
-  void unlock_shared() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
-#endif  // EDUCE_LOCK_PROFILING
 
 }  // namespace educe::obs
 

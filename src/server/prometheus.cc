@@ -99,11 +99,6 @@ std::string RenderPrometheus(Engine* engine, const QueryServer* server) {
 
   const EngineStats stats = engine->Stats();
 
-  out += "# HELP educe_build_info Build configuration flags as labels.\n";
-  out += "# TYPE educe_build_info gauge\n";
-  out += std::string("educe_build_info{lock_profiling=\"") +
-         (obs::LockProfiler::compiled_in() ? "on" : "off") + "\"} 1\n";
-
   HistogramSeconds(&out, "educe_query_latency_seconds",
                    "End-to-end query latency (open to retire).",
                    engine->QueryLatencyHistogram());
@@ -140,9 +135,8 @@ std::string RenderPrometheus(Engine* engine, const QueryServer* server) {
           "Trace spans overwritten before a drain saw them.",
           engine->tracer()->dropped());
 
-  // Lock-site contention: one labelled series per site. Empty (and the
-  // HELP/TYPE headers are still emitted) when EDUCE_LOCK_PROFILING is
-  // compiled out or nothing recorded yet.
+  // Lock-site contention: one labelled series per registered site; the
+  // values stay zero until the runtime gate records something.
   const std::vector<obs::LockSiteStats> sites = obs::LockProfiler::Snapshot();
   out += "# HELP educe_lock_wait_seconds_total "
          "Cumulative time spent waiting to acquire, per lock site.\n";

@@ -318,15 +318,6 @@ base::Status Program::EraseClause(dict::SymbolId functor, size_t index) {
   return base::Status::OK();
 }
 
-void Program::DeclareDynamic(dict::SymbolId functor) {
-  Proc* existing = LocalProcForWrite(functor);
-  Proc& proc = existing != nullptr ? *existing : procs_[functor];
-  proc.functor = functor;
-  proc.arity = dictionary_->ArityOf(functor);
-  proc.erased = false;
-  proc.is_dynamic = true;
-}
-
 void Program::ForEachProc(const std::function<void(const Proc&)>& fn) const {
   for (const auto& [functor, proc] : procs_) fn(proc);
 }

@@ -157,7 +157,6 @@ class Program {
     uint32_t arity = 0;
     std::vector<StoredClause> clauses;
     std::shared_ptr<const LinkedCode> linked;  // null when dirty
-    bool is_dynamic = false;
     /// Overlay only: a shadow that erases the base's procedure of this
     /// functor (Find treats the procedure as undefined).
     bool erased = false;
@@ -179,10 +178,6 @@ class Program {
 
   /// Removes the `index`-th clause of `functor` (retract support).
   base::Status EraseClause(dict::SymbolId functor, size_t index);
-
-  /// Marks a predicate dynamic (no-op placeholder for catalogs; clause
-  /// sources are always retained).
-  void DeclareDynamic(dict::SymbolId functor);
 
   const Proc* Find(dict::SymbolId functor) const;
 

@@ -3,9 +3,7 @@
 // mutex wrappers, the runtime gate, shared-hold timing, contention
 // ranking under real multi-thread load, span emission for long waits,
 // and the JSON export round-tripping through the server's strict
-// parser. Most cases skip themselves when EDUCE_LOCK_PROFILING is
-// compiled out — the compiled-out leg instead asserts the stubs stay
-// inert.
+// parser.
 
 #include <gtest/gtest.h>
 
@@ -96,11 +94,6 @@ TEST(AtomicHistogramTest, ResetZeroes) {
 // --- Registration ---------------------------------------------------------
 
 TEST_F(LockProfilerTest, RegistrationDeduplicatesBySite) {
-  if (!LockProfiler::compiled_in()) {
-    // Compiled out: registration is a constant-null stub.
-    EXPECT_EQ(obs::RegisterLockSite("x", "f.h", 1), nullptr);
-    GTEST_SKIP() << "EDUCE_LOCK_PROFILING is off";
-  }
   auto* a = obs::RegisterLockSite("test.dedup", "fake_file.h", 101);
   auto* b = obs::RegisterLockSite("test.dedup", "fake_file.h", 101);
   EXPECT_EQ(a, b);
@@ -111,7 +104,6 @@ TEST_F(LockProfilerTest, RegistrationDeduplicatesBySite) {
 // --- TrackedMutex accounting ----------------------------------------------
 
 TEST_F(LockProfilerTest, ExclusiveAcquireRecordsWaitAndHold) {
-  if (!LockProfiler::compiled_in()) GTEST_SKIP();
   auto* site = obs::RegisterLockSite("test.excl", "fake_file.h", 201);
   obs::TrackedMutex mu(site);
   LockProfiler::SetEnabled(true);
@@ -131,7 +123,6 @@ TEST_F(LockProfilerTest, ExclusiveAcquireRecordsWaitAndHold) {
 }
 
 TEST_F(LockProfilerTest, DisabledGateRecordsNothing) {
-  if (!LockProfiler::compiled_in()) GTEST_SKIP();
   auto* site = obs::RegisterLockSite("test.gated", "fake_file.h", 301);
   obs::TrackedMutex mu(site);
   ASSERT_FALSE(LockProfiler::enabled());
@@ -150,7 +141,6 @@ TEST_F(LockProfilerTest, DisabledGateRecordsNothing) {
 }
 
 TEST_F(LockProfilerTest, TryLockCountsOnlySuccess) {
-  if (!LockProfiler::compiled_in()) GTEST_SKIP();
   auto* site = obs::RegisterLockSite("test.trylock", "fake_file.h", 401);
   obs::TrackedMutex mu(site);
   LockProfiler::SetEnabled(true);
@@ -166,7 +156,6 @@ TEST_F(LockProfilerTest, TryLockCountsOnlySuccess) {
 }
 
 TEST_F(LockProfilerTest, SharedHoldsNestAndUnwindInAnyOrder) {
-  if (!LockProfiler::compiled_in()) GTEST_SKIP();
   auto* site_a = obs::RegisterLockSite("test.shared_a", "fake_file.h", 501);
   auto* site_b = obs::RegisterLockSite("test.shared_b", "fake_file.h", 502);
   obs::TrackedSharedMutex a(site_a), b(site_b);
@@ -190,7 +179,6 @@ TEST_F(LockProfilerTest, SharedHoldsNestAndUnwindInAnyOrder) {
 }
 
 TEST_F(LockProfilerTest, GateFlipMidHoldNeverLeaksTheHoldStack) {
-  if (!LockProfiler::compiled_in()) GTEST_SKIP();
   auto* site = obs::RegisterLockSite("test.midflip", "fake_file.h", 601);
   obs::TrackedSharedMutex mu(site);
   LockProfiler::SetEnabled(true);
@@ -200,17 +188,36 @@ TEST_F(LockProfilerTest, GateFlipMidHoldNeverLeaksTheHoldStack) {
   LockProfiler::SetEnabled(true);
   mu.lock_shared();
   mu.unlock_shared();
-  const auto sites = LockProfiler::Snapshot();
+  auto sites = LockProfiler::Snapshot();
   const LockSiteStats* s = FindSite(sites, "test.midflip");
   ASSERT_NE(s, nullptr);
   // Both unlocks popped; both holds that started while enabled recorded.
   EXPECT_EQ(s->hold_ns.count(), 2u);
+  EXPECT_EQ(obs::lock_internal::t_shared_hold_count, 0u);
+
+  // The other direction: a hold that began while off pushed nothing, so
+  // its release after the gate turned on records nothing either.
+  LockProfiler::Reset();
+  LockProfiler::SetEnabled(false);
+  mu.lock_shared();
+  LockProfiler::SetEnabled(true);
+  mu.unlock_shared();
+  sites = LockProfiler::Snapshot();
+  s = FindSite(sites, "test.midflip");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->hold_ns.count(), 0u);
+  mu.lock_shared();
+  mu.unlock_shared();
+  sites = LockProfiler::Snapshot();
+  s = FindSite(sites, "test.midflip");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->hold_ns.count(), 1u);
+  EXPECT_EQ(obs::lock_internal::t_shared_hold_count, 0u);
 }
 
 // --- Contention ranking ---------------------------------------------------
 
 TEST_F(LockProfilerTest, TopContendedRanksTheHammeredMutexFirst) {
-  if (!LockProfiler::compiled_in()) GTEST_SKIP();
   auto* hot_site = obs::RegisterLockSite("test.hot", "fake_file.h", 701);
   auto* cold_site = obs::RegisterLockSite("test.cold", "fake_file.h", 702);
   obs::TrackedMutex hot(hot_site), cold(cold_site);
@@ -249,7 +256,6 @@ TEST_F(LockProfilerTest, TopContendedRanksTheHammeredMutexFirst) {
 // --- Span emission --------------------------------------------------------
 
 TEST_F(LockProfilerTest, LongWaitsEmitLockWaitSpans) {
-  if (!LockProfiler::compiled_in()) GTEST_SKIP();
   auto* site = obs::RegisterLockSite("test.span", "fake_file.h", 801);
   obs::TrackedMutex mu(site);
   obs::Tracer tracer;
@@ -283,7 +289,6 @@ TEST_F(LockProfilerTest, LongWaitsEmitLockWaitSpans) {
 // --- Concurrent snapshot (TSan food) --------------------------------------
 
 TEST_F(LockProfilerTest, SnapshotWhileRecordingIsSafe) {
-  if (!LockProfiler::compiled_in()) GTEST_SKIP();
   auto* site = obs::RegisterLockSite("test.race", "fake_file.h", 901);
   obs::TrackedMutex mu(site);
   LockProfiler::SetEnabled(true);
@@ -320,7 +325,6 @@ TEST_F(LockProfilerTest, SnapshotWhileRecordingIsSafe) {
 // dictionary; the external dictionary's mutex is taken only on a probe
 // miss, once per distinct symbol however many rows repeat it.
 TEST_F(LockProfilerTest, FactDecodeTakesTheExternalDictionaryOncePerSymbol) {
-  if (!LockProfiler::compiled_in()) GTEST_SKIP();
   Engine engine;
   ASSERT_TRUE(engine.DeclareRelation("row", 2).ok());
   std::string facts;
@@ -346,40 +350,31 @@ TEST_F(LockProfilerTest, FactDecodeTakesTheExternalDictionaryOncePerSymbol) {
 
 // --- Export ---------------------------------------------------------------
 
-TEST_F(LockProfilerTest, ToJsonParsesStrictlyWhateverTheBuildMode) {
-  // Valid JSON in both build modes (compiled out it is the constant
-  // empty document) — ExportMetricsJson embeds it verbatim.
-  if (LockProfiler::compiled_in()) {
-    auto* site = obs::RegisterLockSite("test.json \"quoted\"", "fake_file.h",
-                                       1001);
-    obs::TrackedMutex mu(site);
-    LockProfiler::SetEnabled(true);
-    mu.lock();
-    mu.unlock();
-  }
+TEST_F(LockProfilerTest, ToJsonParsesStrictly) {
+  // ExportMetricsJson embeds the document verbatim, so a quoted site
+  // name must come out escaped.
+  auto* site = obs::RegisterLockSite("test.json \"quoted\"", "fake_file.h",
+                                     1001);
+  obs::TrackedMutex mu(site);
+  LockProfiler::SetEnabled(true);
+  mu.lock();
+  mu.unlock();
   const std::string json = LockProfiler::ToJson(/*top_k=*/3);
   auto doc = server::ParseJson(json);
   ASSERT_TRUE(doc.ok()) << doc.status() << "\n" << json;
   ASSERT_TRUE(doc->is_object());
-  const server::JsonValue* compiled = doc->Find("compiled");
-  ASSERT_NE(compiled, nullptr);
-  EXPECT_EQ(compiled->bool_value, LockProfiler::compiled_in());
+  const server::JsonValue* enabled = doc->Find("enabled");
+  ASSERT_NE(enabled, nullptr);
+  EXPECT_TRUE(enabled->bool_value);
   const server::JsonValue* sites = doc->Find("sites");
   ASSERT_NE(sites, nullptr);
+  EXPECT_FALSE(sites->array.empty());
   const server::JsonValue* top = doc->Find("top_contended");
   ASSERT_NE(top, nullptr);
-  if (LockProfiler::compiled_in()) {
-    EXPECT_FALSE(sites->array.empty());
-    EXPECT_LE(top->array.size(), 3u);
-  } else {
-    EXPECT_TRUE(sites->array.empty());
-    EXPECT_TRUE(LockProfiler::Snapshot().empty());
-    EXPECT_FALSE(LockProfiler::enabled());
-  }
+  EXPECT_LE(top->array.size(), 3u);
 }
 
 TEST_F(LockProfilerTest, ResetZeroesEverySite) {
-  if (!LockProfiler::compiled_in()) GTEST_SKIP();
   auto* site = obs::RegisterLockSite("test.reset", "fake_file.h", 1101);
   obs::TrackedMutex mu(site);
   LockProfiler::SetEnabled(true);

@@ -327,14 +327,14 @@ TEST(MetricsExportTest, SpansSectionCarriesPerRingCounters) {
 }
 
 TEST(MetricsExportTest, LocksSectionAlwaysPresent) {
-  // Whatever the build mode, the locks section is valid and states
-  // whether the profiler is compiled in (dashboards key off it).
+  // The locks section states the runtime gate and lists the engine's
+  // registered sites even while nothing records.
   Engine engine;
   const std::string json = engine.ExportMetricsJson();
-  EXPECT_NE(json.find("\"locks\":{"), std::string::npos) << json;
-  const std::string expected = std::string("\"compiled\":") +
-      (obs::LockProfiler::compiled_in() ? "true" : "false");
-  EXPECT_NE(json.find(expected), std::string::npos) << json;
+  EXPECT_NE(json.find("\"locks\":{\"enabled\":"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"buffer_pool.mu\""), std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"top_contended\""), std::string::npos);
 }
 

@@ -757,11 +757,13 @@ TEST(ServerTest, PrometheusEndpointServesTextExposition) {
             std::string::npos);
   EXPECT_NE(body.find("educe_query_latency_seconds_count"),
             std::string::npos);
-  EXPECT_NE(body.find("educe_build_info"), std::string::npos);
   EXPECT_NE(body.find("educe_server_queries_ok_total 1"), std::string::npos);
   EXPECT_NE(body.find("educe_server_pool_sessions 1"), std::string::npos);
   EXPECT_NE(body.find("# TYPE educe_lock_wait_seconds_total counter"),
             std::string::npos);
+  EXPECT_NE(
+      body.find("educe_lock_wait_seconds_total{site=\"buffer_pool.mu\"}"),
+      std::string::npos);
   server.Stop();
 }
 
